@@ -1,10 +1,10 @@
 // §5 pass attribution: how much of the optimizing tier's advantage comes
-// from each JIT pass. The clr11 flag set is re-run with inlining, CSE and
-// LICM toggled individually (and all off / all on), plus the vector tier's
+// from each JIT pass. The clr11 flag set is re-run with inlining and CSE
+// toggled individually (and all off / all on), plus the vector tier's
 // VECLOOP lowering alone and on top of the full set, over the benchmarks
 // each pass targets: the method-call micro (inlining), Fibonacci (recursive
 // inlining), and the SciMark SOR / SparseMatmul / MonteCarlo kernels
-// (CSE + LICM on array-heavy loops). Scores are best-of-5 work-units/sec,
+// (CSE on array-heavy loops). Scores are best-of-5 work-units/sec,
 // the noise-robust protocol bench_bce uses.
 //
 //   bench_passes [--quick]
@@ -34,7 +34,6 @@ std::vector<Variant> variants() {
   vm::EngineFlags base = vm::profiles::clr11().flags;
   base.inline_calls = false;
   base.cse = false;
-  base.licm = false;
   std::vector<Variant> out;
   out.push_back({"passes off", base});
   vm::EngineFlags f = base;
@@ -44,9 +43,6 @@ std::vector<Variant> variants() {
   f = base;
   f.cse = true;
   out.push_back({"+cse", f});
-  f = base;
-  f.licm = true;
-  out.push_back({"+licm", f});
   f = base;
   f.vectorize = true;
   out.push_back({"+vec", f});

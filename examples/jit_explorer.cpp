@@ -4,13 +4,13 @@
 // the register IR of every Optimizing profile (Tables 6/8), side by side
 // with measured per-iteration cost.
 //
-//   $ ./jit_explorer [div|add|daxpy|call|cse|licm]
+//   $ ./jit_explorer [div|add|daxpy|call|cse]
 //   $ ./jit_explorer call --passes [profile]
 //
 // With --passes the tool compiles under one profile (default clr11) and
-// prints the IR after every enabled pass, so the effect of inlining, CSE,
-// LICM and bounds-check elimination can be read off as diffs between
-// consecutive listings.
+// prints the IR after every enabled pass, so the effect of inlining, CSE
+// and bounds-check elimination can be read off as diffs between consecutive
+// listings.
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -71,24 +71,6 @@ std::int32_t build_loop(vm::VirtualMachine& v, const std::string& which) {
         b.xor_().stloc(x);
       });
       b.ldloc(x).ret();
-      return b.finish();
-    });
-  }
-  if (which == "licm") {
-    return cached(v, "explore.licm", [&] {
-      // acc += a*b with loop-invariant a and b: the mul should move to the
-      // loop preheader under profiles with LICM.
-      vm::ILBuilder b(v.module(), "explore.licm",
-                      {{ValType::I32, ValType::I32}, ValType::I32});
-      const auto i = b.add_local(ValType::I32);
-      const auto acc = b.add_local(ValType::I32);
-      const auto bound = b.add_local(ValType::I32);
-      b.ldarg(0).stloc(bound);
-      b.ldc_i4(0).stloc(acc);
-      counted_loop(b, i, bound, [&] {
-        b.ldloc(acc).ldarg(1).ldarg(1).mul().add().stloc(acc);
-      });
-      b.ldloc(acc).ret();
       return b.finish();
     });
   }
@@ -170,7 +152,7 @@ int main(int argc, char** argv) {
     method = build_loop(v, which);
   } catch (const std::exception& e) {
     std::fprintf(stderr,
-                 "usage: jit_explorer [div|add|daxpy|call|cse|licm] "
+                 "usage: jit_explorer [div|add|daxpy|call|cse] "
                  "[--passes [profile]] [--load-snapshot FILE] "
                  "[--save-snapshot FILE] (%s)\n",
                  e.what());
@@ -212,10 +194,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf("================ measured ns/iteration ================\n");
-  const bool two_args = which == "daxpy" || which == "licm";
   for (auto& e : bc.engines()) {
     // Warm-up (triggers compilation), then one timed run.
-    std::vector<Slot> warm = two_args
+    std::vector<Slot> warm = which == "daxpy"
                                  ? std::vector<Slot>{Slot::from_i32(64),
                                                      Slot::from_i32(2)}
                                  : std::vector<Slot>{Slot::from_i32(1024)};
@@ -224,8 +205,6 @@ int main(int argc, char** argv) {
     std::vector<Slot> args;
     if (which == "daxpy") {
       args = {Slot::from_i32(4096), Slot::from_i32(256)};
-    } else if (which == "licm") {
-      args = {Slot::from_i32(n), Slot::from_i32(9)};
     } else {
       args = {Slot::from_i32(n)};
     }

@@ -8,8 +8,6 @@
 //
 // GC maps: the frame records its current IL pc; roots are derived from the
 // verifier's per-pc stack type map plus the static local/arg types.
-#include <vector>
-
 #include "vm/arith.hpp"
 #include "vm/engines.hpp"
 #include "vm/execution.hpp"
@@ -24,37 +22,32 @@ namespace {
 
 constexpr std::uint8_t kTierIndex = static_cast<std::uint8_t>(Tier::Baseline);
 
-struct BaseFrame {
-  GcFrame gc;  // must be first
-  const MethodDef* m = nullptr;
-  Slot* slots = nullptr;
-  Slot* stack = nullptr;
-  std::int32_t sp = 0;
-  std::int32_t pc = 0;  // kept current at every potential GC point
+using BaseFrame = ILFrame<Slot>;
 
-  static void enumerate(const GcFrame* g, void (*visit)(ObjRef, void*),
-                        void* arg) {
-    const auto* f = reinterpret_cast<const BaseFrame*>(g);
-    const MethodDef& m = *f->m;
-    for (std::size_t i = 0; i < m.frame_slots(); ++i) {
-      if (m.slot_type(i) == ValType::Ref && f->slots[i].ref != nullptr) {
-        visit(f->slots[i].ref, arg);
-      }
-    }
-    // The operand stack's ref layout at the recorded pc. The engine keeps
-    // sp consistent with stack_in[pc] at every GC point (values being
-    // consumed by the current instruction are not popped until it retires).
-    const auto& types = m.stack_in[static_cast<std::size_t>(f->pc)];
-    const std::int32_t n =
-        std::min(f->sp, static_cast<std::int32_t>(types.size()));
-    for (std::int32_t i = 0; i < n; ++i) {
-      if (types[static_cast<std::size_t>(i)] == ValType::Ref &&
-          f->stack[i].ref != nullptr) {
-        visit(f->stack[i].ref, arg);
-      }
+// GC roots come from the verifier's maps: the static slot types, and the
+// operand stack's ref layout at the frame's recorded pc.
+void enumerate_mapped(const GcFrame* g, void (*visit)(ObjRef, void*),
+                      void* arg) {
+  const auto* f = reinterpret_cast<const BaseFrame*>(g);
+  const MethodDef& m = *f->m;
+  for (std::size_t i = 0; i < m.frame_slots(); ++i) {
+    if (m.slot_type(i) == ValType::Ref && f->slots[i].ref != nullptr) {
+      visit(f->slots[i].ref, arg);
     }
   }
-};
+  // The engine keeps sp consistent with stack_in[pc] at every GC point
+  // (values being consumed by the current instruction are not popped until
+  // it retires).
+  const auto& types = m.stack_in[static_cast<std::size_t>(f->pc)];
+  const std::int32_t n =
+      std::min(f->sp, static_cast<std::int32_t>(types.size()));
+  for (std::int32_t i = 0; i < n; ++i) {
+    if (types[static_cast<std::size_t>(i)] == ValType::Ref &&
+        f->stack[i].ref != nullptr) {
+      visit(f->stack[i].ref, arg);
+    }
+  }
+}
 
 class BaselineBackend final : public TierBackend {
  public:
@@ -85,138 +78,19 @@ Slot BaselineBackend::exec(VMContext& ctx, const MethodDef& m,
                            const Slot* args) {
   Module& mod = vm_.module();
   engine_.ensure_verified(m);
-  // Fuel check at the call boundary (see interpreter.cpp for rationale).
-  if (ctx.fuel.exhausted()) {
-    vm_.throw_exception(ctx, mod.fuel_exhausted_class(),
-                        "fuel budget exhausted");
-    return Slot{};
-  }
-  if (ctx.fuel.past_deadline()) {
-    vm_.throw_exception(ctx, mod.deadline_exceeded_class(),
-                        "wall-clock deadline exceeded");
-    return Slot{};
-  }
-  telemetry::InvocationScope tel(m.id, kTierIndex);
-  const auto arena_mark = ctx.arena.mark();
-
+  if (meter_fault(vm_, ctx)) return Slot{};
+  ILFrameRuntime<Slot> rt(ctx, engine_, m, kTierIndex);
   BaseFrame frame;
-  frame.m = &m;
-  const std::size_t nslots = m.frame_slots();
-  frame.slots = static_cast<Slot*>(ctx.arena.alloc(nslots * sizeof(Slot)));
-  frame.stack = static_cast<Slot*>(ctx.arena.alloc(
-      static_cast<std::size_t>(m.max_stack + 1) * sizeof(Slot)));
-  for (std::size_t i = 0; i < m.num_args(); ++i) frame.slots[i] = args[i];
-  frame.gc.parent = ctx.top_frame;
-  frame.gc.enumerate = &BaseFrame::enumerate;
-  ctx.top_frame = &frame.gc;
+  rt.enter(frame, args, &enumerate_mapped);
 
   UnwindMachine uw;
   Slot* st = frame.stack;
   Slot* loc = frame.slots;
   std::int32_t pc = 0;
   Slot result;
-  // Bytecode counter kept in a register-friendly local; flushed to the
-  // telemetry scope only at frame exit so the dispatch loop pays nothing.
-  std::uint64_t bc = 0;
-  // Taken backward branches; counted inside the existing back-edge safepoint
-  // blocks (no new branches in the dispatch loop) and flushed at frame exit.
-  std::uint32_t backedges = 0;
-  // Back edges already charged to ctx.fuel (== backedges at each pulse).
-  std::uint32_t fuel_charged = 0;
-
-  // RAII frame teardown: runs on normal returns, managed-exception
-  // propagation AND native C++ unwinds (arena exhaustion, nested compile
-  // failure) — see the matching guard in interpreter.cpp for the full
-  // rationale. Declared after `tel` so bc lands before tel's flush.
-  struct FrameExit {
-    BaselineBackend* self;
-    VMContext& ctx;
-    BaseFrame& frame;
-    telemetry::InvocationScope& tel;
-    const MethodDef& m;
-    FrameArena::Mark arena_mark;
-    const std::uint64_t& bc;
-    const std::uint32_t& backedges;
-    const std::uint32_t& fuel_charged;
-    bool tiered;
-    ~FrameExit() {
-      tel.bytecodes = bc;
-      ctx.top_frame = frame.gc.parent;
-      ctx.arena.release(arena_mark);
-      // Residual fuel for back edges taken since the last pulse (the next
-      // pulse or call boundary catches any overdraw).
-      if (ctx.fuel.active && backedges != fuel_charged) {
-        ctx.fuel.charge(backedges - fuel_charged);
-      }
-      if (tiered && backedges != 0) {
-        try {
-          self->engine_.note_backedges(m.id, backedges);
-        } catch (...) {
-          // Never let a failed promotion terminate an in-flight unwind.
-        }
-      }
-    }
-  } frame_exit{this,       ctx, frame,     tel,          m,
-               arena_mark, bc,  backedges, fuel_charged, tiered_};
-
-  // On-stack replacement at the back-edge safepoint blocks (see
-  // interpreter.cpp; the baseline frame's slots/stack are untagged Slots so
-  // the state transfer is a straight copy). As in the interpreter, the OSR
-  // counter doubles as the fuel counter: one `backedges == pulse_next`
-  // compare serves both, so metering adds no branch to the dispatch loop.
-  const std::uint32_t osr_step = tiered_ ? engine_.osr_step() : 0;
-  const bool fuel_on = ctx.fuel.active;
-  const std::uint32_t pulse_step =
-      osr_step != 0 ? osr_step : (fuel_on ? kFuelPulseBackedges : 0);
-  std::uint32_t pulse_next = pulse_step;
-  bool osr_armed = osr_step != 0;
-  Slot osr_result;
-  auto try_osr = [&](std::int32_t header) -> bool {
-    if (!osr_armed || !uw.idle()) return false;
-    const auto& entry_stack = m.stack_in[static_cast<std::size_t>(header)];
-    if (static_cast<std::size_t>(frame.sp) != entry_stack.size()) {
-      return false;
-    }
-    const regir::RCode* rc = engine_.osr_code(m, header);
-    if (rc == nullptr) {
-      // Unbuildable continuation: stop trying in this frame; keep pulsing
-      // only if fuel still needs the counter.
-      osr_armed = false;
-      if (!fuel_on) pulse_next = 0;
-      return false;
-    }
-    std::vector<Slot> a(nslots + entry_stack.size());
-    for (std::size_t i = 0; i < nslots; ++i) a[i] = loc[i];
-    for (std::int32_t k = 0; k < frame.sp; ++k) {
-      a[nslots + static_cast<std::size_t>(k)] = st[k];
-    }
-    osr_result = engine_.osr_enter(ctx, *rc, header, a.data());
-    return true;
-  };
-  // Pulse handler: charge the window's fuel (raising a catchable
-  // FuelExhausted via ctx.pending_exception when dry), then attempt OSR.
-  auto pulse = [&](std::int32_t header) -> bool {
-    pulse_next += pulse_step;
-    if (fuel_on) {
-      ctx.fuel.charge(backedges - fuel_charged);
-      fuel_charged = backedges;
-      if (ctx.fuel.exhausted()) {
-        vm_.throw_exception(ctx, mod.fuel_exhausted_class(),
-                            "fuel budget exhausted");
-        return false;
-      }
-      // Wall-clock deadline poll at the same pulse (DESIGN.md §14).
-      if (ctx.fuel.past_deadline()) {
-        vm_.throw_exception(ctx, mod.deadline_exceeded_class(),
-                            "wall-clock deadline exceeded");
-        return false;
-      }
-    }
-    return try_osr(header);
-  };
 
   for (;;) {
-    ++bc;
+    ++rt.bc;
     const Instr& in = m.code[static_cast<std::size_t>(pc)];
     switch (in.op) {
       case Op::NOP:
@@ -448,11 +322,11 @@ Slot BaselineBackend::exec(VMContext& ctx, const MethodDef& m,
 
       case Op::BR:
         if (in.a <= pc) {  // back-edge safepoint
-          ++backedges;
+          ++rt.backedges;
           frame.pc = in.a;
           vm_.safepoint_poll(ctx);
-          if (backedges == pulse_next) {
-            if (pulse(in.a)) return osr_result;
+          if (rt.backedges == rt.pulse_next) {
+            if (rt.pulse(frame, uw, in.a)) return rt.osr_result();
             if (ctx.has_pending()) goto dispatch_exception;  // fuel fault
           }
         }
@@ -469,11 +343,11 @@ Slot BaselineBackend::exec(VMContext& ctx, const MethodDef& m,
         }
         if (truth == (in.op == Op::BRTRUE)) {
           if (in.a <= pc) {
-            ++backedges;
+            ++rt.backedges;
             frame.pc = in.a;
             vm_.safepoint_poll(ctx);
-            if (backedges == pulse_next) {
-              if (pulse(in.a)) return osr_result;
+            if (rt.backedges == rt.pulse_next) {
+              if (rt.pulse(frame, uw, in.a)) return rt.osr_result();
               if (ctx.has_pending()) goto dispatch_exception;  // fuel fault
             }
           }
@@ -512,11 +386,11 @@ Slot BaselineBackend::exec(VMContext& ctx, const MethodDef& m,
         }
         if (taken) {
           if (in.a <= pc) {
-            ++backedges;
+            ++rt.backedges;
             frame.pc = in.a;
             vm_.safepoint_poll(ctx);
-            if (backedges == pulse_next) {
-              if (pulse(in.a)) return osr_result;
+            if (rt.backedges == rt.pulse_next) {
+              if (rt.pulse(frame, uw, in.a)) return rt.osr_result();
               if (ctx.has_pending()) goto dispatch_exception;  // fuel fault
             }
           }
@@ -611,7 +485,7 @@ Slot BaselineBackend::exec(VMContext& ctx, const MethodDef& m,
       }
       case Op::RET:
         if (m.sig.ret != ValType::None) result = st[frame.sp - 1];
-        return result;  // frame_exit tears down
+        return result;
 
       case Op::NEWOBJ: {
         frame.pc = pc;
@@ -790,31 +664,14 @@ Slot BaselineBackend::exec(VMContext& ctx, const MethodDef& m,
         ctx.pending_exception = exc;
         goto dispatch_exception;
       }
-      case Op::LEAVE: {
-        const UnwindAction a = uw.on_leave(m, pc, in.a);
-        frame.sp = 0;
-        pc = a.pc;
+      case Op::LEAVE:
+        rt.unwind_to(frame, uw, uw.on_leave(m, pc, in.a), pc);
         continue;
-      }
-      case Op::ENDFINALLY: {
-        const UnwindAction a = uw.on_endfinally(mod, m);
-        switch (a.kind) {
-          case UnwindAction::Kind::Resume:
-          case UnwindAction::Kind::EnterFinally:
-            frame.sp = 0;
-            pc = a.pc;
-            continue;
-          case UnwindAction::Kind::EnterCatch:
-            frame.sp = 0;
-            st[frame.sp++] = Slot::from_ref(uw.exception());
-            pc = a.pc;
-            continue;
-          case UnwindAction::Kind::Propagate:
-            ctx.pending_exception = uw.exception();
-            return result;  // frame_exit tears down
+      case Op::ENDFINALLY:
+        if (!rt.unwind_to(frame, uw, uw.on_endfinally(mod, m), pc)) {
+          return result;
         }
-        break;
-      }
+        continue;
 
       case Op::COUNT_:
         break;
@@ -822,25 +679,8 @@ Slot BaselineBackend::exec(VMContext& ctx, const MethodDef& m,
     ++pc;
     continue;
 
-  dispatch_exception: {
-    ObjRef exc = ctx.pending_exception;
-    ctx.pending_exception = nullptr;
-    const UnwindAction a = uw.on_throw(mod, m, pc, exc);
-    switch (a.kind) {
-      case UnwindAction::Kind::EnterCatch:
-        frame.sp = 0;
-        st[frame.sp++] = Slot::from_ref(uw.exception());
-        pc = a.pc;
-        continue;
-      case UnwindAction::Kind::EnterFinally:
-        frame.sp = 0;
-        pc = a.pc;
-        continue;
-      default:
-        ctx.pending_exception = exc;
-        return result;  // frame_exit tears down
-    }
-  }
+  dispatch_exception:
+    if (!rt.dispatch_exception(frame, uw, pc)) return result;
   }
 }
 

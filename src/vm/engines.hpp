@@ -19,9 +19,12 @@
 #include <memory>
 #include <mutex>
 #include <utility>
+#include <vector>
 
 #include "vm/codecache.hpp"
 #include "vm/execution.hpp"
+#include "vm/telemetry/telemetry.hpp"
+#include "vm/unwind.hpp"
 
 namespace hpcnet::vm {
 
@@ -82,8 +85,9 @@ class TieredEngine final : public Engine {
 
   /// Frame-exit flush of taken-backward-branch counts from the IL tiers;
   /// may promote the method for its next invocation (loop-heavy methods
-  /// tier up after one or two calls even if rarely invoked).
-  void note_backedges(std::int32_t method_id, std::uint32_t taken);
+  /// tier up after one or two calls even if rarely invoked). Never throws:
+  /// it runs in frame teardown, possibly during another unwind.
+  void note_backedges(std::int32_t method_id, std::uint32_t taken) noexcept;
 
   /// The method's current dispatch tier (telemetry, tests, benches).
   Tier method_tier(std::int32_t method_id) {
@@ -165,6 +169,233 @@ class TieredEngine final : public Engine {
   std::map<std::pair<const void*, std::int32_t>,
            std::shared_ptr<const MethodDef>>
       continuations_;
+};
+
+// ---------------------------------------------------------------------------
+// The frame runtime all three tier backends share (DESIGN.md §10): the
+// call-boundary meter check, the metered back-edge pulse and the frame
+// teardown. The IL tiers also share OSR entry and the unwind transfers
+// through ILFrameRuntime, templated on the slot type — the interpreter's
+// TaggedSlot carries a dynamic type tag per value (Rotor), the baseline's
+// bare Slot relies on the verifier's static types (Mono).
+
+/// Raises the job's meter fault via ctx.pending_exception: a catchable
+/// FuelExhausted once the budget ran dry, else DeadlineExceeded.
+[[gnu::cold]] void raise_meter_fault(VirtualMachine& vm, VMContext& ctx);
+
+/// True, with the fault raised, once the job's fuel budget has run dry or
+/// its wall-clock deadline has passed. Polled at every call boundary (a
+/// frame entered after the budget ran dry faults at once, so loop-free
+/// callees cannot extend a dead job) and at every back-edge pulse.
+inline bool meter_fault(VirtualMachine& vm, VMContext& ctx) {
+  if (!ctx.fuel.exhausted() && !ctx.fuel.past_deadline()) return false;
+  raise_meter_fault(vm, ctx);
+  return true;
+}
+
+/// One activation's bookkeeping, on the C++ stack beside the GC-visible
+/// frame. Teardown is RAII so it runs on EVERY exit: normal
+/// returns, managed exceptions propagating out, and native C++ exceptions
+/// (frame-arena exhaustion, a compile failure inside a nested call)
+/// unwinding through the dispatch loop. A native unwind therefore never
+/// leaves ctx.top_frame pointing at a dead frame, leaks the frame's arena
+/// block or drops its fuel and back-edge credit.
+class FrameRuntime {
+ public:
+  /// Takes the arena mark. `credit` (tiered IL frames only) receives the
+  /// frame's taken back edges at exit.
+  FrameRuntime(VMContext& ctx, std::int32_t method_id, std::uint8_t tier,
+               TieredEngine* credit)
+      : ctx_(ctx),
+        tel_(method_id, tier),
+        parent_(ctx.top_frame),
+        mark_(ctx.arena.mark()),
+        credit_(credit),
+        method_id_(method_id),
+        fuel_on_(ctx.fuel.active) {}
+  FrameRuntime(const FrameRuntime&) = delete;
+  FrameRuntime& operator=(const FrameRuntime&) = delete;
+
+  ~FrameRuntime() {
+    tel_.bytecodes = bc;
+    ctx_.top_frame = parent_;
+    ctx_.arena.release(mark_);
+    // Residual fuel: back edges taken since the last pulse are charged at
+    // frame exit (no kill check here — the next pulse or call boundary
+    // catches an overdraw), so short loops in callees are still metered.
+    if (fuel_on_ && backedges != fuel_charged) {
+      ctx_.fuel.charge(backedges - fuel_charged);
+    }
+    if (credit_ != nullptr && backedges != 0) {
+      credit_->note_backedges(method_id_, backedges);
+    }
+  }
+
+  /// Makes `gc` ctx's innermost GC frame until teardown.
+  void link(GcFrame& gc) {
+    gc.parent = parent_;
+    ctx_.top_frame = &gc;
+  }
+
+  bool fuel_on() const { return fuel_on_; }
+
+  /// A pulse's fuel charge: bills the back edges taken since the last
+  /// charge, then polls the meter. True when the job was faulted.
+  bool charge_pulse(VirtualMachine& vm) {
+    ctx_.fuel.charge(backedges - fuel_charged);
+    fuel_charged = backedges;
+    return meter_fault(vm, ctx_);
+  }
+
+  std::uint64_t bc = 0;            // retired bytecodes (IL tiers)
+  std::uint32_t backedges = 0;     // taken backward branches
+  std::uint32_t fuel_charged = 0;  // back edges already charged to ctx.fuel
+  std::uint32_t pulse_next = 0;    // backedges value of the next pulse
+
+ protected:
+  VMContext& ctx_;
+
+ private:
+  telemetry::InvocationScope tel_;  // flushed after bc is stored
+  GcFrame* parent_;
+  FrameArena::Mark mark_;
+  TieredEngine* credit_;
+  std::int32_t method_id_;
+  bool fuel_on_;
+};
+
+/// An IL tier's GC-visible frame: arguments + locals, then the operand
+/// stack.
+template <class SlotT>
+struct ILFrame {
+  GcFrame gc;  // must be first (enumerate casts back)
+  const MethodDef* m = nullptr;
+  SlotT* slots = nullptr;  // args + locals
+  SlotT* stack = nullptr;
+  std::int32_t sp = 0;
+  // The baseline tier keeps this current at every GC point: its stack maps
+  // are per pc. The interpreter's tags make it unnecessary there.
+  std::int32_t pc = 0;
+};
+
+inline void store_slot(Slot& s, ValType, Slot v) { s = v; }
+inline void store_slot(TaggedSlot& s, ValType t, Slot v) {
+  s.tag = t;
+  s.v = v;
+}
+inline Slot slot_value(const Slot& s) { return s; }
+inline Slot slot_value(const TaggedSlot& s) { return s.v; }
+
+template <class SlotT>
+class ILFrameRuntime : public FrameRuntime {
+ public:
+  // The OSR counter doubles as the fuel-metering counter: both ride one
+  // `++backedges == pulse_next` compare in the dispatch loop, so arming fuel
+  // adds no second branch to the hot path (DESIGN.md §11). With OSR armed
+  // the pulse cadence is the OSR trigger; fuel alone pulses every
+  // kFuelPulseBackedges; with neither, pulse_next parks at 0 and only
+  // matches on 32-bit wrap (a harmless no-op pulse).
+  ILFrameRuntime(VMContext& ctx, TieredEngine& engine, const MethodDef& m,
+                 std::uint8_t tier)
+      : FrameRuntime(ctx, m.id, tier, engine.tiered() ? &engine : nullptr),
+        engine_(engine),
+        m_(m),
+        osr_armed_(engine.osr_step() != 0) {
+    pulse_step_ = osr_armed_ ? engine.osr_step()
+                             : (fuel_on() ? kFuelPulseBackedges : 0);
+    pulse_next = pulse_step_;
+  }
+
+  /// Carves the frame's slots and operand stack out of the arena, stores
+  /// the arguments (slots take their static types) and links the frame.
+  void enter(ILFrame<SlotT>& f, const Slot* args,
+             decltype(GcFrame::enumerate) enumerate) {
+    f.m = &m_;
+    const std::size_t nslots = m_.frame_slots();
+    f.slots = static_cast<SlotT*>(ctx_.arena.alloc(nslots * sizeof(SlotT)));
+    f.stack = static_cast<SlotT*>(ctx_.arena.alloc(
+        static_cast<std::size_t>(m_.max_stack + 1) * sizeof(SlotT)));
+    for (std::size_t i = 0; i < nslots; ++i) {
+      store_slot(f.slots[i], m_.slot_type(i),
+                 i < m_.num_args() ? args[i] : Slot{});
+    }
+    f.gc.enumerate = enumerate;
+    link(f.gc);
+  }
+
+  /// Fires when backedges reaches pulse_next at a back edge to `header`.
+  /// Charges the pulse window's fuel (a meter fault is reported via
+  /// ctx.pending_exception), then attempts on-stack replacement: once THIS
+  /// frame's taken back edges cross the trigger, the invocation finishes in
+  /// a compiled continuation at the loop header. Re-arms after every firing
+  /// so transient OSR failures retry and an exhausted-but-caught job is
+  /// re-killed a pulse later. True when the invocation finished in compiled
+  /// code; its result is then osr_result(). Kept out of line: it runs once
+  /// per pulse window, so a dispatch loop carries one call per back-edge
+  /// site rather than a copy of the OSR transfer.
+  [[gnu::noinline]] bool pulse(const ILFrame<SlotT>& f,
+                               const UnwindMachine& uw, std::int32_t header) {
+    pulse_next += pulse_step_;
+    if (fuel_on() && charge_pulse(engine_.vm())) return false;
+    if (!osr_armed_ || !uw.idle()) return false;
+    const auto& entry_stack = m_.stack_in[static_cast<std::size_t>(header)];
+    if (static_cast<std::size_t>(f.sp) != entry_stack.size()) return false;
+    const regir::RCode* rc = engine_.osr_code(m_, header);
+    if (rc == nullptr) {
+      // Unbuildable continuation: stop trying in this frame. Fuel still
+      // needs pulses, so only park the counter when it has no other client.
+      osr_armed_ = false;
+      if (!fuel_on()) pulse_next = 0;
+      return false;
+    }
+    // Live frame state -> continuation arguments: slots, then the operand
+    // stack bottom-up (the continuation signature orders them the same).
+    const std::size_t nslots = m_.frame_slots();
+    std::vector<Slot> a(nslots + entry_stack.size());
+    for (std::size_t i = 0; i < nslots; ++i) a[i] = slot_value(f.slots[i]);
+    for (std::int32_t k = 0; k < f.sp; ++k) {
+      a[nslots + static_cast<std::size_t>(k)] = slot_value(f.stack[k]);
+    }
+    osr_result_ = engine_.osr_enter(ctx_, *rc, header, a.data());
+    return true;
+  }
+  Slot osr_result() const { return osr_result_; }
+
+  /// Applies an unwind step to the frame: a handler or leave target clears
+  /// the operand stack (a catch also receives the exception on it) and moves
+  /// `pc`. False on Propagate: the in-flight exception is left pending and
+  /// the frame must return.
+  bool unwind_to(ILFrame<SlotT>& f, const UnwindMachine& uw,
+                 const UnwindAction& a, std::int32_t& pc) {
+    if (a.kind == UnwindAction::Kind::Propagate) {
+      ctx_.pending_exception = uw.exception();
+      return false;
+    }
+    f.sp = 0;
+    if (a.kind == UnwindAction::Kind::EnterCatch) {
+      store_slot(f.stack[f.sp++], ValType::Ref,
+                 Slot::from_ref(uw.exception()));
+    }
+    pc = a.pc;
+    return true;
+  }
+
+  /// The dispatch_exception tail: routes ctx.pending_exception, raised at
+  /// `pc`, to a handler in this frame (see unwind_to).
+  bool dispatch_exception(ILFrame<SlotT>& f, UnwindMachine& uw,
+                          std::int32_t& pc) {
+    ObjRef exc = ctx_.pending_exception;
+    ctx_.pending_exception = nullptr;
+    return unwind_to(f, uw, uw.on_throw(engine_.vm().module(), m_, pc, exc),
+                     pc);
+  }
+
+ private:
+  TieredEngine& engine_;
+  const MethodDef& m_;
+  bool osr_armed_;
+  std::uint32_t pulse_step_ = 0;
+  Slot osr_result_;
 };
 
 }  // namespace hpcnet::vm

@@ -34,7 +34,6 @@ EngineProfile clr11() {
   p.flags.inline_calls = true;
   p.flags.inline_max_il = 64;
   p.flags.cse = true;
-  p.flags.licm = true;
   return p;
 }
 
@@ -50,7 +49,6 @@ EngineProfile ibm131() {
   p.flags.inline_calls = true;  // the IBM JIT inlined aggressively
   p.flags.inline_max_il = 64;
   p.flags.cse = true;
-  p.flags.licm = true;
   return p;
 }
 
@@ -64,10 +62,9 @@ EngineProfile sun14() {
   p.flags.fast_multidim = false;
   p.flags.fast_math = false;
   p.flags.cheap_exceptions = true;
-  // HotSpot client compiler: local value numbering and code motion, but
-  // conservative inlining (modelled here as none).
+  // HotSpot client compiler: local value numbering, but conservative
+  // inlining (modelled here as none).
   p.flags.cse = true;
-  p.flags.licm = true;
   return p;
 }
 
@@ -196,19 +193,27 @@ Slot Engine::invoke(VMContext& ctx, std::int32_t method_id,
   if (args.size() != m.sig.params.size()) {
     throw std::invalid_argument("invoke " + m.name + ": argument count");
   }
+  // Restores the caller's engine and frees the argument block on every
+  // exit, including a native exception (frame-arena exhaustion) unwinding
+  // out of do_invoke.
+  struct Restore {
+    VMContext& ctx;
+    Engine* engine;
+    FrameArena::Mark mark;
+    ~Restore() {
+      ctx.engine = engine;
+      ctx.arena.release(mark);
+    }
+  } restore{ctx, ctx.engine, ctx.arena.mark()};
   // Copy args into a frame-arena block the engine will adopt.
-  const auto mark = ctx.arena.mark();
   Slot* argbuf = nullptr;
   if (!args.empty()) {
     argbuf = static_cast<Slot*>(ctx.arena.alloc(args.size() * sizeof(Slot)));
     std::copy(args.begin(), args.end(), argbuf);
   }
   ctx.pending_exception = nullptr;
-  Engine* prev_engine = ctx.engine;
   ctx.engine = this;  // managed Thread.Start spawns onto the running engine
   const Slot result = do_invoke(ctx, m, argbuf);
-  ctx.engine = prev_engine;
-  ctx.arena.release(mark);
   if (ctx.pending_exception != nullptr) {
     ObjRef exc = ctx.pending_exception;
     ctx.pending_exception = nullptr;

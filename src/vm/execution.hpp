@@ -95,7 +95,6 @@ struct EngineFlags {
   int inline_total_il = 256;   // stop expanding past this caller body size
   bool cse = false;            // common-subexpression elimination (EBB-scoped
                                // value numbering incl. ldlen/field/elem loads)
-  bool licm = false;           // loop-invariant code motion from back-edges
   bool vectorize = false;      // VECLOOP superinstruction lowering for
                                // recognized map/reduction/stencil loops
                                // (DESIGN.md §12); off in all seven paper

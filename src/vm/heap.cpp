@@ -94,7 +94,6 @@ Heap::Heap(Module* module, std::size_t gc_threshold_bytes)
       major_threshold_(gc_threshold_bytes * 4),
       gc_threads_(default_gc_threads()) {
   tlabs_.push_back(&shared_tlab_);
-  if (std::getenv("HPCNET_GC_LAZY_SWEEP") != nullptr) lazy_sweep_ = true;
 }
 
 Heap::~Heap() {
@@ -155,20 +154,15 @@ bool Heap::acquire_region_locked(Tlab& t, std::size_t total) {
   if (t.budget_ == nullptr) {
     // First fit from the free runs the last sweep recovered inside live
     // segments; the run's filler header is overwritten as the TLAB bumps.
-    // With lazy sweeping on, a dry run list sweeps deferred segments one at
-    // a time until a fitting run appears (the sweep-on-refill fallback).
-    for (;;) {
-      for (std::size_t i = 0; i < free_runs_.size(); ++i) {
-        if (free_runs_[i].bytes >= total) {
-          t.cur_ = free_runs_[i].p;
-          t.end_ = free_runs_[i].p + free_runs_[i].bytes;
-          free_runs_[i] = free_runs_.back();
-          free_runs_.pop_back();
-          young_windows_.push_back({t.cur_, t.end_});
-          return true;
-        }
+    for (std::size_t i = 0; i < free_runs_.size(); ++i) {
+      if (free_runs_[i].bytes >= total) {
+        t.cur_ = free_runs_[i].p;
+        t.end_ = free_runs_[i].p + free_runs_[i].bytes;
+        free_runs_[i] = free_runs_.back();
+        free_runs_.pop_back();
+        young_windows_.push_back({t.cur_, t.end_});
+        return true;
       }
-      if (!lazy_sweep_one_locked()) break;
     }
   } else {
     // Budgeted refills bypass the free-run first fit and always charge (and
@@ -384,9 +378,6 @@ void trace_refs(const Module& mod, ObjRef obj, PushFn&& push) {
 void Heap::gc_prepare(GcKind kind) {
   std::lock_guard<std::mutex> lock(mu_);
   cur_kind_ = kind;
-  // A fresh major mark claims bits with fetch_or; stale marks on segments a
-  // lazy major never swept would resurrect their dead. Drain them first.
-  if (kind == GcKind::Major) drain_unswept_locked();
   // Every mutator is parked, so their TLABs can be retired here. Retiring
   // tiles each live window with a filler; the sweep below reclaims it.
   for (Tlab* t : tlabs_) {
@@ -437,9 +428,7 @@ std::size_t Heap::scan_cards_locked() {
   // cost tracks mutator store activity, not old-generation size — that is
   // what keeps minor pauses flat as the heap grows. Cards are cleared as
   // they are consumed; that is sound because every young survivor is
-  // promoted this cycle, turning old->young edges into old->old. Cards on
-  // dead-but-unswept old objects (lazy mode) retain at worst one cycle of
-  // floating garbage; they cannot corrupt the walk.
+  // promoted this cycle, turning old->young edges into old->old.
   std::size_t scanned = 0;
   auto push = [&](ObjRef child) {
     if (child == nullptr || child->is_old()) return;
@@ -597,26 +586,6 @@ void Heap::sweep_segment(Segment& seg, SegmentSweep& out) {
 
 void Heap::sweep_major_locked(std::size_t& freed, std::size_t& swept,
                               std::size_t& promoted) {
-  if (lazy_sweep_ && !segments_.empty()) {
-    // Deferred mode: keep the mark bits and let TLAB refills sweep segments
-    // on demand (lazy_sweep_one_locked). Live counters stay at their folded
-    // (garbage-inclusive) values until the deferred list drains — stats()
-    // forces the drain to give an exact census.
-    unswept_.clear();
-    for (auto& segp : segments_) unswept_.push_back(segp.get());
-    free_runs_.clear();
-    young_windows_.clear();
-    std::size_t lfreed = 0;
-    const std::size_t swept_before = swept;
-    sweep_large_locked(/*minor=*/false, lfreed, swept, promoted);
-    freed += lfreed;
-    live_bytes_ -= std::min(live_bytes_, lfreed);
-    live_objects_ -= std::min(live_objects_, swept - swept_before);
-    old_bytes_ = live_bytes_;
-    major_threshold_ = std::max(threshold_ * 4, old_bytes_ * 2);
-    return;
-  }
-
   const int workers =
       std::min<int>(gc_threads_, static_cast<int>(segments_.size()));
   std::vector<SegmentSweep> results(segments_.size());
@@ -718,34 +687,6 @@ void Heap::gc_perform(GcKind kind) {
   telemetry::count(telemetry::Counter::PromotedBytes, promoted);
   telemetry::record_gc_sweep(kind == GcKind::Major, allocated_window, freed,
                              swept, segments_.size(), t1 - t0, t2 - t1);
-}
-
-// --------------------------------------------------------------------------
-// Lazy sweep-on-refill (gated fallback).
-
-bool Heap::lazy_sweep_one_locked() {
-  if (unswept_.empty()) return false;
-  Segment* seg = unswept_.back();
-  unswept_.pop_back();
-  SegmentSweep r;
-  sweep_segment(*seg, r);
-  live_objects_ -= std::min(live_objects_, r.swept);
-  live_bytes_ -= std::min(live_bytes_, r.freed);
-  stats_.swept_objects += r.swept;
-  old_bytes_ -= std::min(old_bytes_, r.freed);
-  for (const FreeRun& run : r.runs) free_runs_.push_back(run);
-  return true;
-}
-
-void Heap::drain_unswept_locked() {
-  while (lazy_sweep_one_locked()) {
-  }
-}
-
-void Heap::set_lazy_sweep(bool on) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!on) drain_unswept_locked();
-  lazy_sweep_ = on;
 }
 
 // --------------------------------------------------------------------------
@@ -912,7 +853,6 @@ int Heap::gc_threads() const {
 
 HeapStats Heap::stats() {
   std::lock_guard<std::mutex> lock(mu_);
-  drain_unswept_locked();  // lazy mode defers the census; settle it now
   HeapStats s = stats_;
   s.live_objects = live_objects_;
   s.live_bytes = live_bytes_;

@@ -4,7 +4,6 @@
 // safepoint flag. This is the "generic portability layer, no optimization"
 // design the paper measures at 5-10x below the optimizing engines.
 #include <cstring>
-#include <vector>
 
 #include "vm/arith.hpp"
 #include "vm/engines.hpp"
@@ -24,33 +23,26 @@ constexpr std::uint8_t kTierIndex = static_cast<std::uint8_t>(Tier::Interp);
 // than open-coding them; these out-of-line helpers model that call-per-
 // operation design (and are the main reason this tier lands 4-10x behind
 // the optimizing engines, as Rotor did).
-struct InterpFrame;
+using InterpFrame = ILFrame<TaggedSlot>;
 [[gnu::noinline]] void push_portable(InterpFrame& f, ValType t, Slot v);
 [[gnu::noinline]] TaggedSlot pop_portable(InterpFrame& f);
 
-struct InterpFrame {
-  GcFrame gc;  // must be first (enumerate casts back)
-  const MethodDef* m = nullptr;
-  TaggedSlot* slots = nullptr;  // args + locals
-  TaggedSlot* stack = nullptr;
-  std::int32_t sp = 0;
-
-  static void enumerate(const GcFrame* g, void (*visit)(ObjRef, void*),
-                        void* arg) {
-    const auto* f = reinterpret_cast<const InterpFrame*>(g);
-    const std::size_t nslots = f->m->frame_slots();
-    for (std::size_t i = 0; i < nslots; ++i) {
-      if (f->slots[i].tag == ValType::Ref && f->slots[i].v.ref != nullptr) {
-        visit(f->slots[i].v.ref, arg);
-      }
-    }
-    for (std::int32_t i = 0; i < f->sp; ++i) {
-      if (f->stack[i].tag == ValType::Ref && f->stack[i].v.ref != nullptr) {
-        visit(f->stack[i].v.ref, arg);
-      }
+// GC roots come from the tags: every live ref-tagged slot or stack entry.
+void enumerate_tagged(const GcFrame* g, void (*visit)(ObjRef, void*),
+                      void* arg) {
+  const auto* f = reinterpret_cast<const InterpFrame*>(g);
+  const std::size_t nslots = f->m->frame_slots();
+  for (std::size_t i = 0; i < nslots; ++i) {
+    if (f->slots[i].tag == ValType::Ref && f->slots[i].v.ref != nullptr) {
+      visit(f->slots[i].v.ref, arg);
     }
   }
-};
+  for (std::int32_t i = 0; i < f->sp; ++i) {
+    if (f->stack[i].tag == ValType::Ref && f->stack[i].v.ref != nullptr) {
+      visit(f->stack[i].v.ref, arg);
+    }
+  }
+}
 
 void push_portable(InterpFrame& f, ValType t, Slot v) {
   f.stack[f.sp].tag = t;
@@ -88,156 +80,15 @@ Slot InterpBackend::exec(VMContext& ctx, const MethodDef& m,
                          const Slot* args) {
   Module& mod = vm_.module();
   engine_.ensure_verified(m);
-  // Fuel check at the call boundary: a frame entered after the budget ran
-  // dry (the caller charges residual fuel at its own frame exit) faults
-  // immediately, so loop-free callees cannot extend a dead job for long.
-  if (ctx.fuel.exhausted()) {
-    vm_.throw_exception(ctx, mod.fuel_exhausted_class(),
-                        "fuel budget exhausted");
-    return Slot{};
-  }
-  if (ctx.fuel.past_deadline()) {
-    vm_.throw_exception(ctx, mod.deadline_exceeded_class(),
-                        "wall-clock deadline exceeded");
-    return Slot{};
-  }
-  telemetry::InvocationScope tel(m.id, kTierIndex);
-  const auto arena_mark = ctx.arena.mark();
-
+  if (meter_fault(vm_, ctx)) return Slot{};
+  ILFrameRuntime<TaggedSlot> rt(ctx, engine_, m, kTierIndex);
   InterpFrame frame;
-  frame.m = &m;
-  const std::size_t nslots = m.frame_slots();
-  frame.slots = static_cast<TaggedSlot*>(
-      ctx.arena.alloc(nslots * sizeof(TaggedSlot)));
-  frame.stack = static_cast<TaggedSlot*>(ctx.arena.alloc(
-      static_cast<std::size_t>(m.max_stack + 1) * sizeof(TaggedSlot)));
-  for (std::size_t i = 0; i < nslots; ++i) {
-    frame.slots[i].tag = m.slot_type(i);
-    if (i < m.num_args()) frame.slots[i].v = args[i];
-  }
-  frame.gc.parent = ctx.top_frame;
-  frame.gc.enumerate = &InterpFrame::enumerate;
-  ctx.top_frame = &frame.gc;
+  rt.enter(frame, args, &enumerate_tagged);
 
   UnwindMachine uw;
   TaggedSlot* st = frame.stack;
   std::int32_t pc = 0;
   Slot result;
-  // Bytecode counter kept in a register-friendly local; flushed to the
-  // telemetry scope only at frame exit so the dispatch loop pays nothing.
-  std::uint64_t bc = 0;
-  // Taken backward branches, flushed to the tiering policy at frame exit
-  // (kept register-local for the same reason as bc).
-  std::uint32_t backedges = 0;
-  // Back edges already charged to ctx.fuel (== backedges at each pulse).
-  std::uint32_t fuel_charged = 0;
-
-  // Frame teardown is RAII so it runs on EVERY exit: normal returns,
-  // managed exceptions propagating out, and native C++ exceptions (frame
-  // arena exhaustion, a compile failure inside a nested call) unwinding
-  // through the dispatch loop. Before this guard, a native unwind left
-  // ctx.top_frame pointing at this dead frame (a GC crash waiting in the
-  // caller's catch) and silently dropped the frame's back-edge credit.
-  // Declared after `tel` so the bytecode count lands before tel's flush.
-  struct FrameExit {
-    InterpBackend* self;
-    VMContext& ctx;
-    InterpFrame& frame;
-    telemetry::InvocationScope& tel;
-    const MethodDef& m;
-    FrameArena::Mark arena_mark;
-    const std::uint64_t& bc;
-    const std::uint32_t& backedges;
-    const std::uint32_t& fuel_charged;
-    bool tiered;
-    ~FrameExit() {
-      tel.bytecodes = bc;
-      ctx.top_frame = frame.gc.parent;
-      ctx.arena.release(arena_mark);
-      // Residual fuel: back edges taken since the last pulse are charged at
-      // frame exit (no kill check here — the next pulse or call boundary
-      // catches an overdraw), so short loops in callees are still metered.
-      if (ctx.fuel.active && backedges != fuel_charged) {
-        ctx.fuel.charge(backedges - fuel_charged);
-      }
-      if (tiered && backedges != 0) {
-        try {
-          self->engine_.note_backedges(m.id, backedges);
-        } catch (...) {
-          // A failed promotion (code-cache exhaustion) must not terminate
-          // the process when this flush runs during another unwind; the
-          // credit is simply dropped.
-        }
-      }
-    }
-  } frame_exit{this,       ctx, frame,     tel,          m,
-               arena_mark, bc,  backedges, fuel_charged, tiered_};
-
-  // On-stack replacement: once THIS frame's taken back edges cross the
-  // trigger, compile a continuation at the loop header and finish the
-  // invocation in compiled code (DESIGN.md §10). The OSR counter doubles as
-  // the fuel-metering counter: both ride one `++backedges == pulse_next`
-  // compare in the dispatch loop, so arming fuel adds no second branch to
-  // the hot path (DESIGN.md §11). With OSR armed the pulse cadence is the
-  // OSR trigger; fuel alone pulses every kFuelPulseBackedges; with neither,
-  // pulse_next parks at 0 and only matches on 32-bit wrap (a harmless
-  // no-op pulse).
-  const std::uint32_t osr_step = tiered_ ? engine_.osr_step() : 0;
-  const bool fuel_on = ctx.fuel.active;
-  const std::uint32_t pulse_step =
-      osr_step != 0 ? osr_step : (fuel_on ? kFuelPulseBackedges : 0);
-  std::uint32_t pulse_next = pulse_step;
-  bool osr_armed = osr_step != 0;
-  Slot osr_result;
-  auto try_osr = [&](std::int32_t header) -> bool {
-    if (!osr_armed || !uw.idle()) return false;
-    const auto& entry_stack = m.stack_in[static_cast<std::size_t>(header)];
-    if (static_cast<std::size_t>(frame.sp) != entry_stack.size()) {
-      return false;
-    }
-    const regir::RCode* rc = engine_.osr_code(m, header);
-    if (rc == nullptr) {
-      // Unbuildable continuation: stop trying in this frame. Fuel still
-      // needs pulses, so only park the counter when it has no other client.
-      osr_armed = false;
-      if (!fuel_on) pulse_next = 0;
-      return false;
-    }
-    // Live frame state -> continuation arguments: slots, then the operand
-    // stack bottom-up (the continuation signature orders them the same).
-    std::vector<Slot> a(nslots + entry_stack.size());
-    for (std::size_t i = 0; i < nslots; ++i) a[i] = frame.slots[i].v;
-    for (std::int32_t k = 0; k < frame.sp; ++k) {
-      a[nslots + static_cast<std::size_t>(k)] = frame.stack[k].v;
-    }
-    osr_result = engine_.osr_enter(ctx, *rc, header, a.data());
-    return true;
-  };
-  // Fires when backedges hits pulse_next: charges the pulse window's fuel
-  // (killing the job with a catchable FuelExhausted at this safepoint when
-  // the budget runs dry — reported via ctx.pending_exception), then
-  // attempts OSR. Re-arms after every firing so transient OSR failures
-  // retry and an exhausted-but-caught job is re-killed a pulse later.
-  auto pulse = [&](std::int32_t header) -> bool {
-    pulse_next += pulse_step;
-    if (fuel_on) {
-      ctx.fuel.charge(backedges - fuel_charged);
-      fuel_charged = backedges;
-      if (ctx.fuel.exhausted()) {
-        vm_.throw_exception(ctx, mod.fuel_exhausted_class(),
-                            "fuel budget exhausted");
-        return false;
-      }
-      // The wall-clock deadline rides the same pulse: one clock read per
-      // window, only when a deadline is armed (DESIGN.md §14).
-      if (ctx.fuel.past_deadline()) {
-        vm_.throw_exception(ctx, mod.deadline_exceeded_class(),
-                            "wall-clock deadline exceeded");
-        return false;
-      }
-    }
-    return try_osr(header);
-  };
 
   auto push = [&](ValType t, Slot v) { push_portable(frame, t, v); };
   (void)st;
@@ -253,7 +104,7 @@ Slot InterpBackend::exec(VMContext& ctx, const MethodDef& m,
       INTERP_THROW(mod.exception_class(), "interpreter state corrupt");
     }
     {
-    ++bc;
+    ++rt.bc;
     const Instr& in = m.code[static_cast<std::size_t>(pc)];
     switch (in.op) {
       case Op::NOP:
@@ -483,8 +334,8 @@ Slot InterpBackend::exec(VMContext& ctx, const MethodDef& m,
       }
 
       case Op::BR:
-        if (in.a <= pc && ++backedges == pulse_next) {
-          if (pulse(in.a)) return osr_result;
+        if (in.a <= pc && ++rt.backedges == rt.pulse_next) {
+          if (rt.pulse(frame, uw, in.a)) return rt.osr_result();
           if (ctx.has_pending()) goto dispatch_exception;  // fuel fault
         }
         pc = in.a;
@@ -499,8 +350,8 @@ Slot InterpBackend::exec(VMContext& ctx, const MethodDef& m,
           default: truth = a.v.i32 != 0; break;
         }
         if (truth == (in.op == Op::BRTRUE)) {
-          if (in.a <= pc && ++backedges == pulse_next) {
-            if (pulse(in.a)) return osr_result;
+          if (in.a <= pc && ++rt.backedges == rt.pulse_next) {
+            if (rt.pulse(frame, uw, in.a)) return rt.osr_result();
             if (ctx.has_pending()) goto dispatch_exception;  // fuel fault
           }
           pc = in.a;
@@ -541,8 +392,8 @@ Slot InterpBackend::exec(VMContext& ctx, const MethodDef& m,
           case ValType::None: break;
         }
         if (taken) {
-          if (in.a <= pc && ++backedges == pulse_next) {
-            if (pulse(in.a)) return osr_result;
+          if (in.a <= pc && ++rt.backedges == rt.pulse_next) {
+            if (rt.pulse(frame, uw, in.a)) return rt.osr_result();
             if (ctx.has_pending()) goto dispatch_exception;  // fuel fault
           }
           pc = in.a;
@@ -640,7 +491,7 @@ Slot InterpBackend::exec(VMContext& ctx, const MethodDef& m,
       }
       case Op::RET:
         if (m.sig.ret != ValType::None) result = st[frame.sp - 1].v;
-        return result;  // frame_exit tears down
+        return result;
 
       case Op::NEWOBJ: {
         ObjRef obj = vm_.heap().alloc_instance(in.a, &ctx.tlab);
@@ -828,31 +679,14 @@ Slot InterpBackend::exec(VMContext& ctx, const MethodDef& m,
         ctx.pending_exception = exc;
         goto dispatch_exception;
       }
-      case Op::LEAVE: {
-        const UnwindAction a = uw.on_leave(m, pc, in.a);
-        frame.sp = 0;
-        pc = a.pc;
+      case Op::LEAVE:
+        rt.unwind_to(frame, uw, uw.on_leave(m, pc, in.a), pc);
         continue;
-      }
-      case Op::ENDFINALLY: {
-        const UnwindAction a = uw.on_endfinally(mod, m);
-        switch (a.kind) {
-          case UnwindAction::Kind::Resume:
-          case UnwindAction::Kind::EnterFinally:
-            frame.sp = 0;
-            pc = a.pc;
-            continue;
-          case UnwindAction::Kind::EnterCatch:
-            frame.sp = 0;
-            push(ValType::Ref, Slot::from_ref(uw.exception()));
-            pc = a.pc;
-            continue;
-          case UnwindAction::Kind::Propagate:
-            ctx.pending_exception = uw.exception();
-            return result;  // frame_exit tears down
+      case Op::ENDFINALLY:
+        if (!rt.unwind_to(frame, uw, uw.on_endfinally(mod, m), pc)) {
+          return result;
         }
-        break;
-      }
+        continue;
 
       case Op::COUNT_:
         break;
@@ -861,25 +695,8 @@ Slot InterpBackend::exec(VMContext& ctx, const MethodDef& m,
     ++pc;
     continue;
 
-  dispatch_exception: {
-    ObjRef exc = ctx.pending_exception;
-    ctx.pending_exception = nullptr;
-    const UnwindAction a = uw.on_throw(mod, m, pc, exc);
-    switch (a.kind) {
-      case UnwindAction::Kind::EnterCatch:
-        frame.sp = 0;
-        push(ValType::Ref, Slot::from_ref(uw.exception()));
-        pc = a.pc;
-        continue;
-      case UnwindAction::Kind::EnterFinally:
-        frame.sp = 0;
-        pc = a.pc;
-        continue;
-      default:
-        ctx.pending_exception = exc;
-        return result;  // frame_exit tears down
-    }
-  }
+  dispatch_exception:
+    if (!rt.dispatch_exception(frame, uw, pc)) return result;
   }
 }
 

@@ -132,7 +132,6 @@ const char* jit_pass_name(JitPass p) {
     case JitPass::Translate: return "translate";
     case JitPass::Optimize: return "copyprop+dce";
     case JitPass::Cse: return "cse";
-    case JitPass::Licm: return "licm";
     case JitPass::BoundsCheckElim: return "bounds-check-elim";
     case JitPass::VecLower: return "vec-lower";
     case JitPass::Compact: return "compact";

@@ -74,7 +74,6 @@ enum class JitPass : std::uint8_t {
   Translate,        // stack IL -> register IR
   Optimize,         // copy propagation + DCE rounds
   Cse,              // common-subexpression elimination (EBB value numbering)
-  Licm,             // loop-invariant code motion
   BoundsCheckElim,  // counted-loop bounds-check hoisting
   VecLower,         // vector-loop lowering (VECLOOP superinstructions)
   Compact,          // dead-instruction squeeze + branch retarget
@@ -242,8 +241,8 @@ inline void record_allocation(std::uint64_t bytes) {
 /// IL tiers, retired bytecodes) when the frame exits. The dispatch loops keep
 /// their own register-local counter and assign it to `bytecodes` at frame
 /// exit — writing through this member per instruction costs ~10% on the
-/// baseline tier even when telemetry is idle. A frame torn down by a native
-/// C++ exception reports 0 bytecodes; the invocation itself is still counted.
+/// baseline tier even when telemetry is idle. The tiers' shared frame
+/// runtime (engines.hpp) does that on every exit, native C++ unwinds included.
 class InvocationScope {
  public:
   explicit InvocationScope(std::int32_t method_id, std::uint8_t tier = 0)

@@ -195,16 +195,22 @@ const regir::RCode* TieredEngine::opt_code_for_call(std::int32_t method_id) {
 }
 
 void TieredEngine::note_backedges(std::int32_t method_id,
-                                  std::uint32_t taken) {
-  CodeCache::Entry& e = cache_.entry(method_id);
-  const TierPolicy& pol = profile_.tiering;
-  if (static_cast<Tier>(e.tier.load(std::memory_order_relaxed)) >=
-      pol.max_tier) {
-    return;
+                                  std::uint32_t taken) noexcept {
+  try {
+    CodeCache::Entry& e = cache_.entry(method_id);
+    const TierPolicy& pol = profile_.tiering;
+    if (static_cast<Tier>(e.tier.load(std::memory_order_relaxed)) >=
+        pol.max_tier) {
+      return;
+    }
+    const std::uint32_t credit = std::min(taken, pol.backedge_credit);
+    const std::uint32_t h = bump_hotness(e.hotness, credit);
+    maybe_promote(e, vm_.module().method(method_id), h);
+  } catch (...) {
+    // A failed promotion (code-cache exhaustion) must not terminate the
+    // process when this flush runs during another unwind; the credit is
+    // simply dropped.
   }
-  const std::uint32_t credit = std::min(taken, pol.backedge_credit);
-  const std::uint32_t h = bump_hotness(e.hotness, credit);
-  maybe_promote(e, vm_.module().method(method_id), h);
 }
 
 std::shared_ptr<const MethodDef> TieredEngine::continuation_for(
@@ -343,6 +349,17 @@ void TieredEngine::pre_verify_callees(const MethodDef& root) {
         work.push_back(in.a);
       }
     }
+  }
+}
+
+void raise_meter_fault(VirtualMachine& vm, VMContext& ctx) {
+  Module& mod = vm.module();
+  if (ctx.fuel.exhausted()) {
+    vm.throw_exception(ctx, mod.fuel_exhausted_class(),
+                       "fuel budget exhausted");
+  } else {
+    vm.throw_exception(ctx, mod.deadline_exceeded_class(),
+                       "wall-clock deadline exceeded");
   }
 }
 

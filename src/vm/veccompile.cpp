@@ -58,7 +58,7 @@ class Lowerer {
 
   int run() {
     int lowered = 0;
-    // Each insertion shifts positions; rescan from scratch (LICM-style).
+    // Each insertion shifts positions; rescan from scratch.
     for (int round = 0; round < 32; ++round) {
       if (!round_once()) break;
       ++lowered;
@@ -107,8 +107,8 @@ class Lowerer {
     return false;
   }
 
-  /// try_hoist's entry analysis: every control transfer into [body, j] from
-  /// outside the region.
+  /// Entry analysis: every control transfer into [body, j] from outside the
+  /// region.
   void analyze_entries(std::int32_t body, std::int32_t j, std::int32_t* count,
                        std::int32_t* entry_jmp, std::int32_t* entry_target,
                        bool* entry_uncond, bool* fall_in) const {

@@ -199,7 +199,7 @@ TEST(RegIr, DisassemblyIsNonEmptyAndNamed) {
 }
 
 // ---------------------------------------------------------------------------
-// Inlining / CSE / LICM: the structural effects the §5 disassembly study
+// Inlining / CSE: the structural effects the §5 disassembly study
 // would show for the pass mixes of DESIGN.md §5.
 
 /// Caller looping `x = sq(x)` over a one-expression callee.
@@ -330,53 +330,6 @@ TEST(RegIr, CseDedupsRepeatedElementLoads) {
             count_op(c, ROp::LDELEM_I4) + count_op(c, ROp::LDELEMU_I4));
 }
 
-TEST(RegIr, LicmHoistsInvariantMultiplyAboveLoop) {
-  VirtualMachine vm;
-  // acc += a*a with loop-invariant argument a.
-  ILBuilder b(vm.module(), "t_licm", {{ValType::I32, ValType::I32},
-                                      ValType::I32});
-  const auto i = b.add_local(ValType::I32);
-  const auto acc = b.add_local(ValType::I32);
-  auto cond = b.new_label();
-  auto top = b.new_label();
-  b.ldc_i4(0).stloc(acc);
-  b.ldc_i4(0).stloc(i).br(cond);
-  b.bind(top);
-  b.ldloc(acc).ldarg(1).ldarg(1).mul().add().stloc(acc);
-  b.ldloc(i).ldc_i4(1).add().stloc(i);
-  b.bind(cond);
-  b.ldloc(i).ldarg(0).blt(top);
-  b.ldloc(acc).ret();
-  const auto m = b.finish();
-  verify(vm.module(), m);
-  EngineFlags on = profiles::clr11().flags;
-  EngineFlags off = on;
-  off.licm = false;
-  const RCode a = regir::compile(vm.module(), vm.module().method(m), on);
-  const RCode c = regir::compile(vm.module(), vm.module().method(m), off);
-  ASSERT_EQ(count_op(a, ROp::MUL_I4), 1u);
-  ASSERT_EQ(count_op(c, ROp::MUL_I4), 1u);
-  // Find the backward branch (the loop's back-edge) in each listing; with
-  // LICM the multiply sits before the loop body it used to sit inside.
-  auto analyse = [](const RCode& rc) {
-    std::size_t mul_pos = 0, loop_begin = rc.code.size();
-    for (std::size_t k = 0; k < rc.code.size(); ++k) {
-      const RInstr& in = rc.code[k];
-      if (in.op == ROp::MUL_I4) mul_pos = k;
-      const bool branch = in.op == ROp::JMPB ||
-                          (in.op >= ROp::JZ_I4 && in.op <= ROp::JGEI_I4);
-      if (branch && in.d >= 0 && static_cast<std::size_t>(in.d) <= k) {
-        loop_begin = std::min(loop_begin, static_cast<std::size_t>(in.d));
-      }
-    }
-    return std::make_pair(mul_pos, loop_begin);
-  };
-  const auto [mul_on, loop_on] = analyse(a);
-  const auto [mul_off, loop_off] = analyse(c);
-  EXPECT_LT(mul_on, loop_on);      // hoisted into the preheader
-  EXPECT_GE(mul_off, loop_off);    // still inside the loop without LICM
-}
-
 // ---------------------------------------------------------------------------
 // Behavioural equivalence: every optimizing flag combination must compute
 // exactly what the interpreter computes, over a program mixing arithmetic,
@@ -415,27 +368,23 @@ std::vector<FlagCase> flag_matrix() {
     f.fast_math = false;
     f.inline_calls = false;
     f.cse = false;
-    f.licm = false;
   });
   add("no_inline", [](EngineFlags& f) { f.inline_calls = false; });
   add("no_cse", [](EngineFlags& f) { f.cse = false; });
-  add("no_licm", [](EngineFlags& f) { f.licm = false; });
   add("inline_deep", [](EngineFlags& f) {
     f.inline_calls = true;
     f.inline_depth = 4;
     f.inline_max_il = 64;
     f.inline_total_il = 512;
   });
-  add("cse_licm_no_copyprop", [](EngineFlags& f) {
+  add("cse_no_copyprop", [](EngineFlags& f) {
     f.copy_propagation = false;
     f.cse = true;
-    f.licm = true;
   });
   add("vec", [](EngineFlags& f) { f.vectorize = true; });
   add("vec_no_cse", [](EngineFlags& f) {
     f.vectorize = true;
     f.cse = false;
-    f.licm = false;
   });
   return cases;
 }
@@ -495,8 +444,9 @@ TEST_P(RegIrFlags, EveryFlagComboMatchesInterpreter) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllCombos, RegIrFlags,
-                         ::testing::Range<std::size_t>(0, 15));
+INSTANTIATE_TEST_SUITE_P(
+    AllCombos, RegIrFlags,
+    ::testing::Range<std::size_t>(0, flag_matrix().size()));
 
 }  // namespace
 }  // namespace hpcnet::test

@@ -19,6 +19,7 @@
 #include "vm/monitor.hpp"
 #include "vm/service/service.hpp"
 #include "vm/verifier.hpp"
+#include "vm_test_util.hpp"
 
 namespace hpcnet::test {
 namespace {
@@ -416,8 +417,7 @@ std::int32_t build_gate(Module& mod, const std::string& name) {
 // Slot in the service's deque is invisible to the collector's stack walk, so
 // a major collection between submit and pickup swept an otherwise-
 // unreachable argument graph and the job later dereferenced freed memory.
-// submit now pins the graph until worker pickup. Census is exact:
-// heap.stats().live_objects drains the lazy sweep list.
+// submit now pins the graph until worker pickup.
 TEST(Service, QueuedRefArgsSurviveMajorCollection) {
   VirtualMachine vm;
   Module& mod = vm.module();
@@ -734,6 +734,22 @@ TEST(Service, ConcurrentSubmissionFromEightThreads) {
     total += svc.tenant_stats("t" + std::to_string(t)).jobs_completed;
   }
   EXPECT_EQ(total, static_cast<std::uint64_t>(kThreads * kJobsPerThread));
+}
+
+// A job whose managed stack overflows unwinds natively through the
+// optimizing tier's frames; the worker's context must come out clean, so the
+// next job on the same worker runs and the heap can still be collected.
+TEST(Service, StackOverflowJobLeavesWorkerUsable) {
+  VirtualMachine vm;
+  const auto deep = build_deep_recursion(vm.module());
+  ExecutionService svc(vm, profiles::clr11(), {.workers = 1});
+  svc.add_tenant({.name = "a"});
+  const JobResult r1 = svc.submit("a", deep, {Slot::from_i32(100000)}).wait();
+  EXPECT_EQ(r1.outcome, JobOutcome::Faulted);
+  const JobResult r2 = svc.submit("a", deep, {Slot::from_i32(10)}).wait();
+  EXPECT_EQ(r2.outcome, JobOutcome::Completed);
+  EXPECT_EQ(r2.value.i32, 10);
+  vm.collect(GcKind::Major);
 }
 
 }  // namespace

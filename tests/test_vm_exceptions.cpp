@@ -343,5 +343,34 @@ TEST(VmExceptions, UnboxWrongTypeThrowsInvalidCast) {
   }
 }
 
+// Frame-arena exhaustion unwinds natively through the dispatch loops. Every
+// tier's frame teardown must still run, so the calling context comes out as
+// it went in (GC frame chain restored, arena released) and can call and
+// collect again.
+TEST(VmExceptions, NativeUnwindLeavesContextUsableOnEveryTier) {
+  std::vector<EngineProfile> profs;
+  for (const EngineProfile& p : profiles::all()) {
+    profs.push_back(p);
+    profs.push_back(profiles::tiered(p));
+  }
+  for (const EngineProfile& p : profs) {
+    SCOPED_TRACE(p.name);
+    VirtualMachine vm;
+    const auto m = build_deep_recursion(vm.module());
+    verify(vm.module(), m);
+    auto engine = make_engine(vm, p);
+    VMContext& ctx = vm.main_context();
+    GcFrame* const top = ctx.top_frame;
+    const Slot deep = Slot::from_i32(100000);
+    EXPECT_THROW(engine->invoke(ctx, m, std::span<const Slot>(&deep, 1)),
+                 std::runtime_error);
+    EXPECT_EQ(ctx.top_frame, top);
+    const Slot shallow = Slot::from_i32(10);
+    EXPECT_EQ(engine->invoke(ctx, m, std::span<const Slot>(&shallow, 1)).i32,
+              10);
+    vm.collect(GcKind::Major);
+  }
+}
+
 }  // namespace
 }  // namespace hpcnet::test

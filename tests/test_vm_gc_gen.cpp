@@ -252,12 +252,11 @@ TEST(VmGcGen, ConcurrentMutatorsAgainstParallelCollector) {
 }
 
 // The census partition (allocations = swept + live) must hold across an
-// interleaving of minor and major collections, lazy-sweep mode included.
-TEST(VmGcGen, CensusExactAcrossMixedCollectionsAndLazySweep) {
+// interleaving of minor and major collections.
+TEST(VmGcGen, CensusExactAcrossMixedCollections) {
   VirtualMachine vm;
   Heap& heap = vm.heap();
   heap.set_gc_threads(2);
-  heap.set_lazy_sweep(true);
   std::vector<ObjRef> keep;
   for (int round = 0; round < 6; ++round) {
     for (int i = 0; i < 500; ++i) {
@@ -269,7 +268,7 @@ TEST(VmGcGen, CensusExactAcrossMixedCollectionsAndLazySweep) {
     }
     vm.collect(round % 3 == 2 ? GcKind::Major : GcKind::Minor);
   }
-  const auto s = heap.stats();  // stats() drains any lazily-unswept segments
+  const auto s = heap.stats();
   EXPECT_EQ(s.total_allocations - s.swept_objects, s.live_objects);
   EXPECT_EQ(s.live_objects, keep.size());
   for (ObjRef a : keep) vm.unpin(a);

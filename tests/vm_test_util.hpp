@@ -65,4 +65,21 @@ struct VMFixture {
   }
 };
 
+/// depth(n) = n == 0 ? 0 : depth(n - 1) + 1 over a 30000-local frame: a
+/// deep call exhausts the 16 MB frame arena a few dozen frames down (well
+/// before the native stack, even in sanitizer builds), which throws
+/// std::runtime_error("managed stack overflow") — a native C++ unwind
+/// through every managed frame on the way.
+inline std::int32_t build_deep_recursion(Module& mod) {
+  ILBuilder b(mod, "deep_recursion", {{ValType::I32}, ValType::I32});
+  const auto self = static_cast<std::int32_t>(mod.method_count());
+  for (int i = 0; i < 30000; ++i) b.add_local(ValType::I32);
+  auto recurse = b.new_label();
+  b.ldarg(0).brtrue(recurse);
+  b.ldc_i4(0).ret();
+  b.bind(recurse);
+  b.ldarg(0).ldc_i4(1).sub().call(self).ldc_i4(1).add().ret();
+  return b.finish();
+}
+
 }  // namespace hpcnet::test
