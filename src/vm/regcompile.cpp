@@ -6,9 +6,7 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
 #include "support/timer.hpp"
@@ -892,7 +890,32 @@ std::vector<std::int32_t> Compiler::live_out_stack_regs(
 
 void Compiler::optimize_blocks() {
   const auto leaders = block_leaders();
-  const std::int32_t nregs = static_cast<std::int32_t>(rc_.reg_types.size());
+  const auto nregs = rc_.reg_types.size();
+
+  // Per-call state, never cleared wholesale, so a block costs its own
+  // length, not the register or local count (CSE's shadows multiply the
+  // former, inlining the latter).
+  // A copy d -> copy_of[d] holds while its source keeps the version it had
+  // when the MOV was seen: every definition bumps ver[], which retires all
+  // copies of the redefined register without scanning for them. The copies
+  // set in a block are reset from the `copied` list before the next one.
+  std::vector<std::int32_t> copy_of(nregs, -1);
+  std::vector<std::uint32_t> copy_ver(nregs, 0);
+  std::vector<std::uint32_t> ver(nregs, 0);
+  std::vector<std::int32_t> copied;
+  // Liveness is stamped per block: live_mark[r] is mark + 1 (live) or mark
+  // (dead) once the block's backward walk has set it, and anything older
+  // means "not touched yet": the block-exit default, live for the locals
+  // (conservatively) and dead for everything else.
+  std::vector<std::uint32_t> live_mark(nregs, 0);
+  std::uint32_t mark = 0;
+  auto is_live = [&](std::int32_t r) {
+    const std::uint32_t m = live_mark[static_cast<std::size_t>(r)];
+    return m >= mark ? m == mark + 1 : r < rc_.slot_regs;
+  };
+  auto set_live = [&](std::int32_t r, bool on) {
+    live_mark[static_cast<std::size_t>(r)] = on ? mark + 1 : mark;
+  };
 
   for (std::size_t bi = 0; bi + 1 < leaders.size(); ++bi) {
     const auto lo = static_cast<std::size_t>(leaders[bi]);
@@ -900,18 +923,18 @@ void Compiler::optimize_blocks() {
     if (lo >= hi) continue;
 
     // ---- forward copy propagation ----
-    std::vector<std::int32_t> copy_of(static_cast<std::size_t>(nregs), -1);
-    auto root = [&](std::int32_t r) {
-      while (r >= 0 && copy_of[static_cast<std::size_t>(r)] >= 0) {
-        r = copy_of[static_cast<std::size_t>(r)];
-      }
-      return r;
+    for (std::int32_t r : copied) copy_of[static_cast<std::size_t>(r)] = -1;
+    copied.clear();
+    auto copy_src = [&](std::int32_t r) {
+      const std::int32_t c = copy_of[static_cast<std::size_t>(r)];
+      return c >= 0 && copy_ver[static_cast<std::size_t>(r)] ==
+                           ver[static_cast<std::size_t>(c)]
+                 ? c
+                 : -1;
     };
-    auto invalidate = [&](std::int32_t r) {
-      copy_of[static_cast<std::size_t>(r)] = -1;
-      for (auto& c : copy_of) {
-        if (c == r) c = -1;
-      }
+    auto root = [&](std::int32_t r) {
+      while (r >= 0 && copy_src(r) >= 0) r = copy_src(r);
+      return r;
     };
     for (std::size_t i = lo; i < hi; ++i) {
       RInstr& in = out_[i];
@@ -1017,40 +1040,36 @@ void Compiler::optimize_blocks() {
       // Update the copy map.
       const Operands ops = operands_of(in, rc_.args_pool);
       if (ops.def >= 0) {
-        invalidate(ops.def);
+        const auto d = static_cast<std::size_t>(ops.def);
+        ++ver[d];
+        copy_of[d] = -1;
         if (in.op == ROp::MOV && !in.pinned() && in.a != in.d) {
-          copy_of[static_cast<std::size_t>(in.d)] = in.a;
+          copy_of[d] = in.a;
+          copy_ver[d] = ver[static_cast<std::size_t>(in.a)];
+          copied.push_back(ops.def);
         }
       }
     }
 
     // ---- backward dead-move/dead-value elimination ----
-    std::vector<bool> live(static_cast<std::size_t>(nregs), false);
-    for (std::int32_t r = 0; r < rc_.slot_regs; ++r) {
-      live[static_cast<std::size_t>(r)] = true;  // locals conservatively live
-    }
-    for (std::int32_t r : live_out_stack_regs(hi)) {
-      live[static_cast<std::size_t>(r)] = true;
-    }
+    mark += 2;
+    for (std::int32_t r : live_out_stack_regs(hi)) set_live(r, true);
     for (std::size_t i = hi; i-- > lo;) {
       RInstr& in = out_[i];
       if (in.op == ROp::NOP_R) continue;
       Operands ops = operands_of(in, rc_.args_pool);
       const bool removable = is_pure(in.op) && !in.pinned() && ops.def >= 0 &&
-                             !live[static_cast<std::size_t>(ops.def)];
+                             !is_live(ops.def);
       if (removable) {
         in.op = ROp::NOP_R;
         continue;
       }
-      if (ops.def >= 0) live[static_cast<std::size_t>(ops.def)] = false;
-      for (int k = 0; k < ops.nuses; ++k) {
-        live[static_cast<std::size_t>(ops.uses[k])] = true;
-      }
+      if (ops.def >= 0) set_live(ops.def, false);
+      for (int k = 0; k < ops.nuses; ++k) set_live(ops.uses[k], true);
       if (in.op == ROp::CALL_R || in.op == ROp::CALLINTR_R) {
         const auto argc = static_cast<std::int32_t>(in.imm.i64);
         for (std::int32_t k = 0; k < argc; ++k) {
-          live[static_cast<std::size_t>(
-              rc_.args_pool[static_cast<std::size_t>(in.b + k)])] = true;
+          set_live(rc_.args_pool[static_cast<std::size_t>(in.b + k)], true);
         }
       }
     }
@@ -1292,89 +1311,150 @@ bool is_elem_store(ROp op) {
 void Compiler::cse_blocks() {
   const auto leaders = block_leaders();
 
-  struct Entry {
-    std::int32_t reg;     // register holding the value
-    std::int32_t u[3];    // operand registers (-1 = unused)
+  // Every fact the pass knows -- an available value, a checked (array,
+  // index) pair, a card-marked object -- sits in one hashed table under a
+  // Key. Facts are never erased; they are retired lazily instead. A fact
+  // remembers the block it was recorded in, the version each register it
+  // depends on had then, and the epoch of the memory it reads. Defining a
+  // register bumps its version, a store or call bumps the epoch of the loads
+  // it may alias, and anything that can allocate bumps the card epoch. A
+  // lookup that finds a fact whose block, versions or epoch moved treats it
+  // as absent: what an eager kill would have erased, without a scan for it.
+  struct Key {
     ROp op;
+    std::int32_t a;
+    std::int32_t b;
+    std::int64_t imm;
+    bool operator==(const Key&) const = default;
   };
-  using Key = std::tuple<int, std::int32_t, std::int32_t, std::int64_t>;
+  struct Fact {
+    std::size_t blk = 0;
+    std::uint32_t epoch = 0;   // memory epoch of the key's op when recorded
+    std::int32_t reg = -1;     // register holding the value (-1: check/mark)
+    std::int32_t dep[3] = {-1, -1, -1};  // operand registers (-1 = unused)
+    std::uint32_t dep_ver[3] = {};
+  };
+  // Open addressing with linear probing into `facts`. Nothing is erased and
+  // each instruction records at most one fact, so a power-of-two index of
+  // over twice the method's length stays under half full.
+  std::vector<std::pair<Key, Fact>> facts;
+  std::size_t slots = 16;
+  while (slots < 2 * out_.size()) slots *= 2;
+  std::vector<std::int32_t> index(slots, -1);
+  auto slot_of = [&](const Key& key) -> std::int32_t& {
+    constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
+    std::uint64_t h = static_cast<std::uint64_t>(key.op);
+    h = (h * kMul) ^ static_cast<std::uint32_t>(key.a);
+    h = (h * kMul) ^ static_cast<std::uint32_t>(key.b);
+    h = (h * kMul) ^ static_cast<std::uint64_t>(key.imm);
+    std::size_t i = static_cast<std::size_t>(h ^ (h >> 31)) & (slots - 1);
+    while (index[i] >= 0 &&
+           !(facts[static_cast<std::size_t>(index[i])].first == key)) {
+      i = (i + 1) & (slots - 1);
+    }
+    return index[i];
+  };
 
-  // Blocks are processed back to front: preserving a value may grow a block
-  // (see shadow registers below), which shifts every later position.
+  // Per-register state. Each instruction adds at most one shadow register,
+  // so the arrays never grow during the pass.
+  constexpr std::size_t kNoBlock = static_cast<std::size_t>(-1);
+  const std::size_t cap = rc_.reg_types.size() + out_.size();
+  std::vector<std::uint32_t> ver(cap, 0);
+  // Alias map: reg -> another reg currently holding the same value (the
+  // shadow of its defining expression). Keys are built over canonicalized
+  // operands so second-order duplicates match even after the stack
+  // allocator reuses the original registers: in `(x*x+3) ^ ((x*x+3)>>1)`
+  // both ADDIs key on the shadow of the (single) multiply. Shadows have
+  // exactly one definition per block, so an alias stays truthful until its
+  // own or its target's register is redefined.
+  struct Alias {
+    std::size_t blk = kNoBlock;
+    std::int32_t to = -1;
+    std::uint32_t from_ver = 0;
+    std::uint32_t to_ver = 0;
+  };
+  std::vector<Alias> alias(cap);
+
+  std::size_t blk = kNoBlock;
+  std::uint32_t field_epoch = 0;  // bumped by field stores and calls
+  std::uint32_t elem_epoch = 0;   // bumped by element stores and calls
+  // Bumped wherever a GC could run: an object card-marked before that point
+  // must be marked again by the next store.
+  std::uint32_t card_epoch = 0;
+  auto epoch_of = [&](ROp op) -> std::uint32_t {
+    if (is_field_load(op)) return field_epoch;
+    if (is_elem_load(op)) return elem_epoch;
+    if (op == ROp::CARDMARK) return card_epoch;
+    return 0;
+  };
+  auto find = [&](const Key& key) -> const Fact* {
+    const std::int32_t at = slot_of(key);
+    if (at < 0) return nullptr;
+    const Fact& f = facts[static_cast<std::size_t>(at)].second;
+    if (f.blk != blk || f.epoch != epoch_of(key.op)) return nullptr;
+    for (int k = 0; k < 3; ++k) {
+      if (f.dep[k] >= 0 &&
+          ver[static_cast<std::size_t>(f.dep[k])] != f.dep_ver[k]) {
+        return nullptr;
+      }
+    }
+    return &f;
+  };
+  auto record = [&](const Key& key, Fact f) {
+    f.blk = blk;
+    f.epoch = epoch_of(key.op);
+    for (int k = 0; k < 3; ++k) {
+      if (f.dep[k] >= 0) f.dep_ver[k] = ver[static_cast<std::size_t>(f.dep[k])];
+    }
+    std::int32_t& at = slot_of(key);
+    if (at < 0) {
+      at = static_cast<std::int32_t>(facts.size());
+      facts.emplace_back(key, f);
+    } else {
+      facts[static_cast<std::size_t>(at)].second = f;
+    }
+  };
+  auto canon_of = [&](std::int32_t r) {
+    if (r < 0 || static_cast<std::size_t>(r) >= cap) return r;
+    const Alias& al = alias[static_cast<std::size_t>(r)];
+    return al.blk == blk &&
+                   al.from_ver == ver[static_cast<std::size_t>(r)] &&
+                   al.to_ver == ver[static_cast<std::size_t>(al.to)]
+               ? al.to
+               : r;
+  };
+  auto set_alias = [&](std::int32_t r, std::int32_t to) {
+    alias[static_cast<std::size_t>(r)] = {blk, to,
+                                          ver[static_cast<std::size_t>(r)],
+                                          ver[static_cast<std::size_t>(to)]};
+  };
+  // Rank-2 accesses keep raw keys: their column register is encoded in
+  // imm, which the alias map cannot rewrite consistently.
+  auto imm_encodes_reg = [](ROp op) {
+    switch (op) {
+      case ROp::LDEL2_I4: case ROp::LDEL2_I8: case ROp::LDEL2_R4:
+      case ROp::LDEL2_R8: case ROp::LDEL2_REF: case ROp::LDEL2_SLOW:
+        return true;
+      default:
+        return false;
+    }
+  };
+  // Values are preserved in fresh "shadow" registers (a MOV inserted right
+  // after the defining instruction) because the stack-register allocator
+  // reuses destination registers aggressively — by the time a duplicate
+  // shows up, the original register usually holds something else. Shadows
+  // that never serve a duplicate are dead moves; the copy-propagation/DCE
+  // round that follows this pass deletes them. They are collected here and
+  // spliced in once, after the last block.
+  std::vector<std::pair<std::size_t, RInstr>> shadows;  // insert-after pos
+
+  // Blocks are visited back to front. Only the shadow-register numbering
+  // depends on it (new_reg numbers them in visiting order, and the numbers
+  // are part of the emitted code); the facts are per block.
   for (std::size_t bi = leaders.size() - 1; bi-- > 0;) {
+    blk = bi;
     const auto lo = static_cast<std::size_t>(leaders[bi]);
     const auto hi = static_cast<std::size_t>(leaders[bi + 1]);
-
-    std::map<Key, Entry> avail;
-    std::set<std::pair<std::int32_t, std::int32_t>> checked;
-    // Objects (canonical regs) already card-marked since the last point a GC
-    // could have run in this block; a repeat CARDMARK on one is redundant.
-    std::set<std::int32_t> carded;
-    // Alias map: reg -> another reg currently holding the same value (the
-    // shadow of its defining expression). Keys are built over canonicalized
-    // operands so second-order duplicates match even after the stack
-    // allocator reuses the original registers: in `(x*x+3) ^ ((x*x+3)>>1)`
-    // both ADDIs key on the shadow of the (single) multiply. Shadows have
-    // exactly one definition per block, so an alias stays truthful until its
-    // source register is redefined (erased below).
-    std::map<std::int32_t, std::int32_t> canon;
-    auto canon_of = [&](std::int32_t r) {
-      const auto it = canon.find(r);
-      return it == canon.end() ? r : it->second;
-    };
-    auto erase_aliases_of = [&](std::int32_t r) {
-      canon.erase(r);
-      for (auto it = canon.begin(); it != canon.end();) {
-        it = it->second == r ? canon.erase(it) : std::next(it);
-      }
-    };
-    // Rank-2 accesses keep raw keys: their column register is encoded in
-    // imm, which the alias map cannot rewrite consistently.
-    auto imm_encodes_reg = [](ROp op) {
-      switch (op) {
-        case ROp::LDEL2_I4: case ROp::LDEL2_I8: case ROp::LDEL2_R4:
-        case ROp::LDEL2_R8: case ROp::LDEL2_REF: case ROp::LDEL2_SLOW:
-          return true;
-        default:
-          return false;
-      }
-    };
-    // Values are preserved in fresh "shadow" registers (a MOV inserted right
-    // after the defining instruction) because the stack-register allocator
-    // reuses destination registers aggressively — by the time a duplicate
-    // shows up, the original register usually holds something else. Shadows
-    // that never serve a duplicate are dead moves; the copy-propagation/DCE
-    // round that follows this pass deletes them.
-    std::vector<std::pair<std::size_t, RInstr>> shadows;  // insert-after pos
-
-    auto kill_reg = [&](std::int32_t r) {
-      for (auto it = avail.begin(); it != avail.end();) {
-        const Entry& e = it->second;
-        if (e.reg == r || e.u[0] == r || e.u[1] == r || e.u[2] == r) {
-          it = avail.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      for (auto it = checked.begin(); it != checked.end();) {
-        if (it->first == r || it->second == r) {
-          it = checked.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      carded.erase(r);
-    };
-    auto kill_loads = [&](bool fields, bool elems) {
-      for (auto it = avail.begin(); it != avail.end();) {
-        const ROp op = it->second.op;
-        if ((fields && is_field_load(op)) || (elems && is_elem_load(op))) {
-          it = avail.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    };
 
     for (std::size_t i = lo; i < hi; ++i) {
       RInstr& in = out_[i];
@@ -1390,10 +1470,8 @@ void Compiler::cse_blocks() {
                                   : canon_of(in.b);
       bool rewritten = false;
       if (!in.pinned() && cse_value_op(in.op)) {
-        const Key key{static_cast<int>(in.op), ca, cb, in.imm.i64};
-        auto it = avail.find(key);
-        if (it != avail.end()) {
-          const std::int32_t prev = it->second.reg;
+        if (const Fact* f = find(Key{in.op, ca, cb, in.imm.i64})) {
+          const std::int32_t prev = f->reg;
           if (prev == in.d) {
             in.op = ROp::NOP_R;
             continue;
@@ -1404,28 +1482,30 @@ void Compiler::cse_blocks() {
           in.imm.i64 = 0;
           rewritten = true;
         }
-      } else if (in.op == ROp::CHK_BOUNDS && !in.pinned()) {
-        const auto key = std::make_pair(ca, cb);
-        if (checked.count(key) != 0) {
+      } else if ((in.op == ROp::CHK_BOUNDS || in.op == ROp::CARDMARK) &&
+                 !in.pinned()) {
+        // A check of an (array, index) pair, or a card mark of an object,
+        // already done in this block and still valid is dropped.
+        const bool chk = in.op == ROp::CHK_BOUNDS;
+        const Key key{in.op, ca, chk ? cb : -1, 0};
+        if (find(key) != nullptr) {
           in.op = ROp::NOP_R;
           continue;
         }
-        checked.insert(key);
-      } else if (in.op == ROp::CARDMARK && !in.pinned()) {
-        if (carded.count(ca) != 0) {
-          in.op = ROp::NOP_R;
-          continue;
-        }
-        carded.insert(ca);
+        Fact f;
+        f.dep[0] = ca;
+        f.dep[1] = chk ? cb : -1;
+        record(key, f);
       }
 
-      // Stores and calls may write memory that load entries describe.
+      // Stores and calls may write memory that load facts describe.
       if (in.op == ROp::CALL_R || in.op == ROp::CALLINTR_R) {
-        kill_loads(true, true);
+        ++field_epoch;
+        ++elem_epoch;
       } else if (in.op == ROp::STFLD_R || in.op == ROp::STSFLD_R) {
-        kill_loads(true, false);
+        ++field_epoch;
       } else if (is_elem_store(in.op)) {
-        kill_loads(false, true);
+        ++elem_epoch;
       }
 
       // Anything that can allocate — and so trigger a minor GC that clears
@@ -1436,24 +1516,22 @@ void Compiler::cse_blocks() {
         case ROp::NEWOBJ_R: case ROp::NEWARR_R: case ROp::NEWMAT_R:
         case ROp::BOX_R: case ROp::LDSTR_R:
         case ROp::SAFEPOINT:
-          carded.clear();
+          ++card_epoch;
           break;
         default:
           break;
       }
 
+      // Redefining a register retires every fact and alias that names it.
       const Operands ops = operands_of(in, rc_.args_pool);
-      if (ops.def >= 0) {
-        kill_reg(ops.def);
-        erase_aliases_of(ops.def);
-      }
+      if (ops.def >= 0) ++ver[static_cast<std::size_t>(ops.def)];
 
       if (rewritten) {
         // The rewrite turned this into `MOV d, shadow`: d now aliases the
         // shadow, so downstream keys over d unify with keys over it.
-        canon[in.d] = in.a;
+        set_alias(in.d, in.a);
       } else if (in.op == ROp::MOV && !in.pinned() && in.d != in.a) {
-        canon[in.d] = canon_of(in.a);
+        set_alias(in.d, canon_of(in.a));
       }
 
       if (!rewritten && !in.pinned() && cse_value_op(in.op) && ops.def >= 0) {
@@ -1464,61 +1542,55 @@ void Compiler::cse_blocks() {
             ca == ops.def || cb == ops.def ||
             (ops.nuses > 2 && ops.uses[2] == ops.def);
         if (!def_is_use) {
-          Entry e{-1, {-1, -1, -1}, in.op};
-          // Record the canonical operand names: kill_reg then only drops the
-          // entry when a register the key actually depends on is redefined.
+          // Record the canonical operand names: the fact then only retires
+          // when a register the key actually depends on is redefined. (The
+          // shadow itself is fresh and has no definition in this pass.)
+          Fact f;
           if (raw_key) {
-            for (int u = 0; u < ops.nuses && u < 3; ++u) e.u[u] = ops.uses[u];
+            for (int u = 0; u < ops.nuses && u < 3; ++u) f.dep[u] = ops.uses[u];
           } else {
-            e.u[0] = ca;
-            e.u[1] = in.op == ROp::LDFLD_R ? -1 : cb;
+            f.dep[0] = ca;
+            f.dep[1] = in.op == ROp::LDFLD_R ? -1 : cb;
           }
           const std::int32_t shadow =
               new_reg(rc_.reg_types[static_cast<std::size_t>(ops.def)]);
-          e.reg = shadow;
+          f.reg = shadow;
           RInstr mv;
           mv.op = ROp::MOV;
           mv.d = shadow;
           mv.a = ops.def;
           mv.il_pc = in.il_pc;
           shadows.emplace_back(i, mv);
-          avail[Key{static_cast<int>(in.op), ca, cb, in.imm.i64}] = e;
-          canon[ops.def] = shadow;
+          record(Key{in.op, ca, cb, in.imm.i64}, f);
+          set_alias(ops.def, shadow);
         }
       }
     }
+  }
 
-    if (shadows.empty()) continue;
-    // Splice the shadow moves into the block and remap il_start_: positions
-    // inside the block move to their new offsets (a shadow belongs to the IL
-    // group of its defining instruction, so an IL boundary right after it
-    // lands past the shadow), later positions shift by the block's growth.
-    std::vector<RInstr> blockvec;
-    blockvec.reserve(hi - lo + shadows.size());
-    std::vector<std::int32_t> npos(hi - lo);
-    std::size_t next_shadow = 0;
-    for (std::size_t q = lo; q < hi; ++q) {
-      npos[q - lo] = static_cast<std::int32_t>(blockvec.size());
-      blockvec.push_back(out_[q]);
-      while (next_shadow < shadows.size() &&
-             shadows[next_shadow].first == q) {
-        blockvec.push_back(shadows[next_shadow].second);
-        ++next_shadow;
-      }
+  if (shadows.empty()) return;
+  // One splice for the whole method. A shadow belongs to the IL group of its
+  // defining instruction, so an IL boundary right after it lands past the
+  // shadow: every il_start_ position moves by the number of shadows
+  // inserted before it.
+  std::sort(shadows.begin(), shadows.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
+  std::vector<RInstr> spliced;
+  spliced.reserve(out_.size() + shadows.size());
+  std::vector<std::int32_t> shift(out_.size() + 1);
+  std::size_t next_shadow = 0;
+  for (std::size_t q = 0; q < out_.size(); ++q) {
+    shift[q] = static_cast<std::int32_t>(next_shadow);
+    spliced.push_back(out_[q]);
+    while (next_shadow < shadows.size() && shadows[next_shadow].first == q) {
+      spliced.push_back(shadows[next_shadow].second);
+      ++next_shadow;
     }
-    const auto delta = static_cast<std::int32_t>(blockvec.size() - (hi - lo));
-    out_.erase(out_.begin() + static_cast<std::ptrdiff_t>(lo),
-               out_.begin() + static_cast<std::ptrdiff_t>(hi));
-    out_.insert(out_.begin() + static_cast<std::ptrdiff_t>(lo),
-                blockvec.begin(), blockvec.end());
-    for (auto& v : il_start_) {
-      if (v >= static_cast<std::int32_t>(hi)) {
-        v += delta;
-      } else if (v > static_cast<std::int32_t>(lo)) {
-        v = static_cast<std::int32_t>(lo) +
-            npos[static_cast<std::size_t>(v) - lo];
-      }
-    }
+  }
+  shift[out_.size()] = static_cast<std::int32_t>(next_shadow);
+  out_ = std::move(spliced);
+  for (auto& v : il_start_) {
+    if (v >= 0) v += shift[static_cast<std::size_t>(v)];
   }
 }
 

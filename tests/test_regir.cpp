@@ -4,7 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <map>
+#include <sstream>
+#include <string>
+#include <utility>
 
+#include "cil/jg.hpp"
+#include "cil/sm.hpp"
 #include "vm/regcompile.hpp"
 #include "vm_test_util.hpp"
 
@@ -331,6 +338,304 @@ TEST(RegIr, CseDedupsRepeatedElementLoads) {
 }
 
 // ---------------------------------------------------------------------------
+// CSE kill semantics: each program repeats an expression after something
+// that invalidates the first result, so the repeat must be computed again.
+// With `kill` false the invalidating step is left out and the repeat is
+// redundant: RegIr.CseRecomputesEveryRepeatAfterItsKill checks CSE tells the
+// two apart, and the flag matrix below runs the `kill` forms on every flag
+// combination.
+
+/// a = arr[0]; arr[0] = a + 1; return a * 1000 + arr[0]. The store to the
+/// same element kills the first load.
+std::int32_t build_kill_elem(Module& mod, bool kill) {
+  ILBuilder b(mod, "kill_elem", {{ValType::I32}, ValType::I32});
+  const auto arr = b.add_local(ValType::Ref);
+  const auto a = b.add_local(ValType::I32);
+  b.ldarg(0).newarr(ValType::I32).stloc(arr);
+  b.ldloc(arr).ldc_i4(0).ldarg(0).stelem(ValType::I32);
+  b.ldloc(arr).ldc_i4(0).ldelem(ValType::I32).stloc(a);
+  if (kill) {
+    b.ldloc(arr).ldc_i4(0).ldloc(a).ldc_i4(1).add().stelem(ValType::I32);
+  }
+  b.ldloc(a).ldc_i4(1000).mul();
+  b.ldloc(arr).ldc_i4(0).ldelem(ValType::I32).add().ret();
+  return b.finish();
+}
+
+/// a = o.v; set(o, a + 1); return a * 1000 + o.v. The call may write any
+/// field, so the second load stays.
+std::int32_t build_kill_field_call(Module& mod, bool kill) {
+  const auto cls = mod.define_class("kill.Box", {{"v", ValType::I32}});
+  ILBuilder set(mod, "kill_box_set",
+                {{ValType::Ref, ValType::I32}, ValType::I32});
+  set.ldarg(0).ldarg(1).stfld(cls, "v");
+  set.ldarg(1).ret();
+  const auto setter = set.finish();
+  verify(mod, setter);
+  ILBuilder b(mod, "kill_field_call", {{ValType::I32}, ValType::I32});
+  const auto o = b.add_local(ValType::Ref);
+  const auto a = b.add_local(ValType::I32);
+  b.newobj(cls).stloc(o);
+  b.ldloc(o).ldarg(0).stfld(cls, "v");
+  b.ldloc(o).ldfld(cls, "v").stloc(a);
+  if (kill) b.ldloc(o).ldloc(a).ldc_i4(1).add().call(setter).pop();
+  b.ldloc(a).ldc_i4(1000).mul();
+  b.ldloc(o).ldfld(cls, "v").add().ret();
+  return b.finish();
+}
+
+/// t = h(n) stays on the stack; a = t * 3; t = t + 1 (in place); c = t * 3.
+/// The call result has no other name, so the in-place add redefines the
+/// very register the first product's key mentions.
+std::int32_t build_kill_operand(Module& mod, bool kill) {
+  ILBuilder h(mod, "kill_h", {{ValType::I32}, ValType::I32});
+  h.ldarg(0).ldc_i4(7).mul().ret();
+  const auto hm = h.finish();
+  verify(mod, hm);
+  ILBuilder b(mod, "kill_operand", {{ValType::I32}, ValType::I32});
+  const auto a = b.add_local(ValType::I32);
+  const auto c = b.add_local(ValType::I32);
+  b.ldarg(0).call(hm);
+  b.dup().ldc_i4(3).mul().stloc(a);
+  if (kill) b.ldc_i4(1).add();
+  b.dup().ldc_i4(3).mul().stloc(c);
+  b.pop();
+  b.ldloc(a).ldc_i4(10000).mul().ldloc(c).add().ret();
+  return b.finish();
+}
+
+/// arr = new int[n]; t = last(n) (= n - 1) stays on the stack; r = arr[t];
+/// t = t + 1 (in place); r = arr[t], which is out of range: the handler
+/// returns -1. The in-place add redefines the register the first check's
+/// index names (reached through the local i), so the second check stays.
+std::int32_t build_kill_chk(Module& mod, bool kill) {
+  ILBuilder last(mod, "kill_last", {{ValType::I32}, ValType::I32});
+  last.ldarg(0).ldc_i4(1).sub().ret();
+  const auto lm = last.finish();
+  verify(mod, lm);
+  ILBuilder b(mod, "kill_chk", {{ValType::I32}, ValType::I32});
+  const auto arr = b.add_local(ValType::Ref);
+  const auto i = b.add_local(ValType::I32);
+  const auto r = b.add_local(ValType::I32);
+  auto t0 = b.new_label();
+  auto t1 = b.new_label();
+  auto h = b.new_label();
+  auto out = b.new_label();
+  b.ldarg(0).newarr(ValType::I32).stloc(arr);
+  b.bind(t0);
+  b.ldarg(0).call(lm);
+  b.dup().stloc(i);
+  b.ldloc(arr).ldloc(i).ldelem(ValType::I32).stloc(r);
+  if (kill) b.ldc_i4(1).add();
+  b.dup().stloc(i);
+  b.ldloc(arr).ldloc(i).ldelem(ValType::I32).stloc(r);
+  b.pop().leave(out);
+  b.bind(t1);
+  b.add_catch(t0, t1, h, mod.index_range_class());
+  b.bind(h);
+  b.pop().ldc_i4(-1).stloc(r).leave(out);
+  b.bind(out);
+  b.ldloc(r).ret();
+  return b.finish();
+}
+
+/// o.r = o; o.r = new Node; o.r.v = n; return o.r.v. The allocation between
+/// the two reference stores may run a GC that clears o's card, so both card
+/// marks stay.
+std::int32_t build_kill_card(Module& mod, bool kill) {
+  const auto cls = mod.define_class(
+      "kill.Node", {{"r", ValType::Ref}, {"v", ValType::I32}});
+  ILBuilder b(mod, "kill_card", {{ValType::I32}, ValType::I32});
+  const auto o = b.add_local(ValType::Ref);
+  b.newobj(cls).stloc(o);
+  b.ldloc(o).ldloc(o).stfld(cls, "r");
+  if (kill) {
+    b.ldloc(o).newobj(cls).stfld(cls, "r");
+  } else {
+    b.ldloc(o).ldloc(o).stfld(cls, "r");
+  }
+  b.ldloc(o).ldfld(cls, "r").ldarg(0).stfld(cls, "v");
+  b.ldloc(o).ldfld(cls, "r").ldfld(cls, "v").ret();
+  return b.finish();
+}
+
+struct KillCase {
+  const char* name;
+  std::int32_t (*build)(Module&, bool);
+  std::vector<ROp> ops;       // the repeated operation's forms
+  std::size_t kept_no_kill;   // how many of `ops` CSE keeps without the kill
+  std::int32_t value;         // the `kill` form's result for n = 50
+};
+
+const std::vector<KillCase>& kill_cases() {
+  static const std::vector<KillCase> cases = {
+      {"elem", build_kill_elem, {ROp::LDELEM_I4, ROp::LDELEMU_I4}, 1, 50051},
+      {"field_call", build_kill_field_call, {ROp::LDFLD_R}, 1, 50051},
+      // The final a * 10000 is one more multiply in both forms.
+      {"operand", build_kill_operand, {ROp::MUL_I4, ROp::MULI_I4}, 2,
+       10501053},
+      {"chk", build_kill_chk, {ROp::CHK_BOUNDS}, 1, -1},
+      {"card", build_kill_card, {ROp::CARDMARK}, 1, 50},
+  };
+  return cases;
+}
+
+TEST(RegIr, CseRecomputesEveryRepeatAfterItsKill) {
+  // clr11 with BCE off (it would hoist or fuse checks) and inlining off (the
+  // calls are the point of two of the programs).
+  EngineFlags f = profiles::clr11().flags;
+  f.bounds_check_elim = false;
+  f.inline_calls = false;
+  for (const KillCase& kc : kill_cases()) {
+    for (const bool kill : {false, true}) {
+      VirtualMachine vm;
+      const auto m = kc.build(vm.module(), kill);
+      verify(vm.module(), m);
+      const RCode rc = regir::compile(vm.module(), vm.module().method(m), f);
+      std::size_t kept = 0;
+      for (ROp op : kc.ops) kept += count_op(rc, op);
+      EXPECT_EQ(kept, kc.kept_no_kill + (kill ? 1 : 0))
+          << kc.name << (kill ? " with" : " without") << " the kill";
+    }
+  }
+}
+
+TEST(RegIr, CseKillProgramsComputeTheirValueOnEveryTier) {
+  for (const KillCase& kc : kill_cases()) {
+    VMFixture f;
+    const auto m = kc.build(f.vm.module(), true);
+    EXPECT_EQ(f.run_all(m, {Slot::from_i32(50)}).i32, kc.value) << kc.name;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned IR: a digest of everything the compiler emits for each method of
+// the SciMark/JGF boot set under each optimizing profile. A compile-time
+// optimization of the passes must leave every digest unchanged; an intended
+// IR change re-blesses the table from the failure message.
+
+/// FNV-1a over 64-bit words (fixed width, so the table is host-independent
+/// on any two's-complement little- or big-endian machine).
+struct IrHash {
+  std::uint64_t h = 14695981039346656037ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  void add(std::int64_t v) { add(static_cast<std::uint64_t>(v)); }
+  void add(std::int32_t v) { add(static_cast<std::int64_t>(v)); }
+  template <typename T>
+  void add_all(const std::vector<T>& v) {
+    add(static_cast<std::uint64_t>(v.size()));
+    for (const T& x : v) add(static_cast<std::int64_t>(x));
+  }
+};
+
+std::uint64_t ir_digest(const RCode& rc) {
+  IrHash h;
+  h.add(static_cast<std::uint64_t>(rc.code.size()));
+  for (const RInstr& in : rc.code) {
+    h.add(static_cast<std::int32_t>(in.op));
+    h.add(static_cast<std::int32_t>(in.flags));
+    h.add(in.d);
+    h.add(in.a);
+    h.add(in.b);
+    h.add(in.il_pc);
+    h.add(in.imm.i64);
+  }
+  h.add_all(rc.args_pool);
+  h.add_all(rc.ref_regs);
+  h.add_all(rc.reg_types);
+  h.add_all(rc.il2rpc);
+  h.add_all(rc.handler_exc_reg);
+  h.add(static_cast<std::uint64_t>(rc.deopt_points.size()));
+  for (const RCode::DeoptPoint& dp : rc.deopt_points) {
+    h.add(dp.rpc);
+    h.add(dp.il_pc);
+    h.add_all(dp.stack_regs);
+  }
+  h.add(static_cast<std::uint64_t>(rc.vec_loops.size()));
+  for (const RCode::VecLoop& vl : rc.vec_loops) {
+    for (std::int32_t r : {vl.kernel, vl.ivar, vl.limit, vl.limit_arr, vl.arr0,
+                           vl.arr1, vl.arr2, vl.acc, vl.s0_reg, vl.s1_reg}) {
+      h.add(r);
+    }
+    h.add(vl.s0_bits);
+    h.add(vl.s1_bits);
+  }
+  h.add(rc.num_regs);
+  h.add(rc.slot_regs);
+  return h.h;
+}
+
+struct PinnedIr {
+  const char* profile;
+  const char* method;
+  std::uint64_t digest;
+};
+
+constexpr PinnedIr kPinnedIr[] = {
+#include "regir_digests.inc"
+};
+
+TEST(RegIr, BootSetIrMatchesPinnedDigests) {
+  // The kernels' IL does not depend on the problem size (sizes are call
+  // arguments), so one build covers every model the benchmarks run.
+  VirtualMachine vm;
+  cil::build_sm_fft(vm);
+  cil::build_sm_sor(vm);
+  cil::build_sm_montecarlo(vm);
+  cil::build_sm_sparse(vm);
+  cil::build_sm_lu(vm);
+  cil::build_jg_fib(vm);
+  cil::build_jg_sieve(vm);
+  cil::build_jg_hanoi(vm);
+  cil::build_jg_heapsort(vm);
+  cil::build_jg_crypt(vm);
+  Module& mod = vm.module();
+
+  std::map<std::pair<std::string, std::string>, std::uint64_t> want;
+  for (const PinnedIr& p : kPinnedIr) want[{p.profile, p.method}] = p.digest;
+
+  std::ostringstream table;
+  std::size_t compiled = 0;
+  std::size_t mismatched = 0;
+  for (const char* base :
+       {"clr11", "ibm131", "sun14", "bea81", "jsharp11"}) {
+    for (const std::string& name :
+         {std::string(base), std::string(base) + ".vec"}) {
+      const EngineFlags flags = profiles::by_name(name).flags;
+      for (std::size_t i = 0; i < mod.method_count(); ++i) {
+        const MethodDef& m = mod.method(static_cast<std::int32_t>(i));
+        if (!m.verified) continue;
+        const std::uint64_t got =
+            ir_digest(regir::compile(mod, m, flags));
+        char hex[32];
+        std::snprintf(hex, sizeof hex, "0x%016llxull",
+                      static_cast<unsigned long long>(got));
+        table << "{\"" << name << "\", \"" << m.name << "\", " << hex
+              << "},\n";
+        ++compiled;
+        const auto it = want.find({name, m.name});
+        if (it == want.end() || it->second != got) {
+          ++mismatched;
+          ADD_FAILURE() << name << " " << m.name << ": digest " << hex
+                        << (it == want.end() ? " (not pinned)" : " changed");
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compiled, want.size()) << "pinned entries without a method";
+  if (mismatched != 0 || compiled != want.size()) {
+    ADD_FAILURE() << "If the IR change is intended, replace "
+                     "tests/regir_digests.inc with:\n"
+                  << table.str();
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Behavioural equivalence: every optimizing flag combination must compute
 // exactly what the interpreter computes, over a program mixing arithmetic,
 // arrays, calls and branches.
@@ -441,6 +746,16 @@ TEST_P(RegIrFlags, EveryFlagComboMatchesInterpreter) {
   for (int round = 0; round < 80; ++round) {
     const Slot r = tiered_engine->invoke(ctx, m, std::span<const Slot>(&arg, 1));
     EXPECT_EQ(r.raw, want.raw) << fc.name << " tiered round " << round;
+  }
+
+  // The CSE kill programs: each repeat after an invalidation must be
+  // recomputed, whatever else the flags turn on.
+  for (const KillCase& kc : kill_cases()) {
+    const auto km = kc.build(mod, true);
+    verify(mod, km);
+    const Slot kwant = f.run_on(2, km, {Slot::from_i32(50)});
+    const Slot kgot = engine->invoke(ctx, km, std::span<const Slot>(&arg, 1));
+    EXPECT_EQ(kgot.raw, kwant.raw) << fc.name << " kill_" << kc.name;
   }
 }
 
