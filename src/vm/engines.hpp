@@ -1,6 +1,8 @@
 // Internal: the tiered execution pipeline. The three engines the paper
-// compares (interpreter.cpp, baseline.cpp, optimizing.cpp) are tier backends
-// behind one TieredEngine; public code uses make_engine().
+// compares are tier backends behind one TieredEngine: the interpreter and
+// baseline tiers are the two instantiations of one IL executor
+// (ilexecutor.cpp), the optimizing tier runs register IR (optimizing.cpp).
+// Public code uses make_engine().
 //
 // Dispatch (tiered.cpp): every call funnels through TieredEngine::call(),
 // which consults the method's CodeCache entry. Methods at Tier::Optimizing
@@ -146,6 +148,13 @@ class TieredEngine final : public Engine {
                      std::uint32_t hotness);
   const regir::RCode& compile_optimizing(CodeCache::Entry& e,
                                          const MethodDef& m);
+  /// Under `e`'s latch, compiles `body` unless a racing thread already
+  /// published it, then publishes the code and the tier byte (both
+  /// release), unlocks and records the compile. `body` is a method or an
+  /// OSR continuation (whose id is its method's). Returns the code and the
+  /// tier byte it replaced (Optimizing when the race was lost).
+  std::pair<const regir::RCode*, std::uint8_t> compile_and_publish(
+      CodeCache::Entry& e, const MethodDef& body);
   void pre_verify_callees(const MethodDef& root);
   void verify_slow(CodeCache::Entry& e, const MethodDef& m);
   /// The continuation MethodDef for (body, header), built+verified once and
@@ -273,8 +282,8 @@ struct ILFrame {
   SlotT* slots = nullptr;  // args + locals
   SlotT* stack = nullptr;
   std::int32_t sp = 0;
-  // The baseline tier keeps this current at every GC point: its stack maps
-  // are per pc. The interpreter's tags make it unnecessary there.
+  // Current at every GC point. The baseline's stack maps are per pc; the
+  // interpreter's tags do not need it.
   std::int32_t pc = 0;
 };
 

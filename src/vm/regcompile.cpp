@@ -65,9 +65,14 @@ class Compiler {
       // Two rounds: the copy propagation between them forwards the MOVs the
       // first round left behind, exposing cascaded duplicates (a repeated
       // subtree matches only after its repeated leaves were unified).
+      // Each call is charged to its own pass (record_jit_pass sums them).
       for (int i = 0; i < 2; ++i) {
         cse_blocks();
-        if (flags_.copy_propagation) optimize_blocks();
+        mark(telemetry::JitPass::Cse);
+        if (flags_.copy_propagation) {
+          optimize_blocks();
+          mark(telemetry::JitPass::Optimize);
+        }
       }
     }
     mark(telemetry::JitPass::Cse);
@@ -222,7 +227,6 @@ void Compiler::translate() {
 void Compiler::translate_one(std::int32_t pc, const Instr& in) {
   const auto& st = mp_->stack_in[static_cast<std::size_t>(pc)];
   const auto d = static_cast<std::int32_t>(st.size());
-  auto stk = [&](std::int32_t i) { return st[static_cast<std::size_t>(i)]; };
 
   switch (in.op) {
     case Op::NOP:

@@ -145,6 +145,9 @@ std::vector<char> serialize_graph(VirtualMachine& vm, ObjRef root) {
         body.raw(obj->chars(), static_cast<std::size_t>(obj->length));
         break;
       }
+      case ObjKind::Free:
+        // Sweep filler is never reachable from a ref.
+        throw SerializeError("reference to a free heap block");
     }
   }
   w.u32(static_cast<std::uint32_t>(order.size()));

@@ -165,24 +165,32 @@ const regir::RCode& TieredEngine::compile_optimizing(CodeCache::Entry& e,
   // would deadlock two threads compiling mutually-inlining methods.
   ensure_verified(m);
   if (profile_.flags.inline_calls) pre_verify_callees(m);
-  std::unique_lock<std::mutex> latch(e.latch);
-  if (const regir::RCode* rc = e.code[kOpt].load(std::memory_order_relaxed)) {
-    return *rc;  // lost the race; the winner already published tier + code
-  }
-  const telemetry::CompileContext tel_engine(profile_.name.c_str());
-  const std::int64_t compile_begin = support::now_ns();
-  auto compiled = std::make_shared<const regir::RCode>(
-      regir::compile(vm_.module(), m, profile_.flags));
-  const regir::RCode* rc = cache_.adopt(std::move(compiled));
-  e.code[kOpt].store(rc, std::memory_order_release);
-  const std::uint8_t prev =
-      e.tier.exchange(kOpt, std::memory_order_release);
-  latch.unlock();
-  telemetry::record_compile(m.id, m.name, compile_begin, support::now_ns());
+  const auto [rc, prev] = compile_and_publish(e, m);
   if (tiered_ && prev != kOpt) {
     telemetry::record_tier_up(m.id, m.name, prev, kOpt);
   }
   return *rc;
+}
+
+std::pair<const regir::RCode*, std::uint8_t>
+TieredEngine::compile_and_publish(CodeCache::Entry& e, const MethodDef& body) {
+  std::unique_lock<std::mutex> latch(e.latch);
+  if (const regir::RCode* rc = e.code[kOpt].load(std::memory_order_relaxed)) {
+    return {rc, kOpt};  // lost the race; the winner already published
+  }
+  const telemetry::CompileContext tel_engine(profile_.name.c_str());
+  const std::int64_t compile_begin = support::now_ns();
+  // compile() always hands the RCode its own body copy, so a detached OSR
+  // continuation need not outlive the published code.
+  auto compiled = std::make_shared<const regir::RCode>(
+      regir::compile(vm_.module(), body, profile_.flags));
+  const regir::RCode* rc = cache_.adopt(std::move(compiled));
+  e.code[kOpt].store(rc, std::memory_order_release);
+  const std::uint8_t prev = e.tier.exchange(kOpt, std::memory_order_release);
+  latch.unlock();
+  telemetry::record_compile(body.id, body.name, compile_begin,
+                            support::now_ns());
+  return {rc, prev};
 }
 
 const regir::RCode* TieredEngine::opt_code_for_call(std::int32_t method_id) {
@@ -242,24 +250,7 @@ const regir::RCode* TieredEngine::osr_code(const MethodDef& body,
   }
   std::shared_ptr<const MethodDef> cont = continuation_for(body, header_pc);
   if (cont == nullptr) return nullptr;
-  std::unique_lock<std::mutex> latch(e.latch);
-  if (const regir::RCode* rc = e.code[kOpt].load(std::memory_order_relaxed)) {
-    return rc;  // lost the race; the winner already published
-  }
-  const telemetry::CompileContext tel_engine(profile_.name.c_str());
-  const std::int64_t compile_begin = support::now_ns();
-  // No lifetime knot here anymore: compile() always hands the RCode its own
-  // body copy, so the detached continuation's shared_ptr map entry is not
-  // load-bearing for the published code.
-  auto compiled = std::make_shared<const regir::RCode>(
-      regir::compile(vm_.module(), *cont, profile_.flags));
-  const regir::RCode* rc = cache_.adopt(std::move(compiled));
-  e.code[kOpt].store(rc, std::memory_order_release);
-  e.tier.store(kOpt, std::memory_order_release);
-  latch.unlock();
-  telemetry::record_compile(body.id, cont->name, compile_begin,
-                            support::now_ns());
-  return rc;
+  return compile_and_publish(e, *cont).first;
 }
 
 Slot TieredEngine::osr_enter(VMContext& ctx, const regir::RCode& rc,

@@ -342,6 +342,112 @@ TEST(VmGc, LargeObjectPathAndSegmentPoolReuse) {
   EXPECT_EQ(heap.stats().large_objects, 0u);
 }
 
+// The IL tiers' GC-map rule: an instruction's operands stay on the operand
+// stack until it retires, and a ref held below them stays a root while the
+// instruction allocates. Each iteration parks a fresh array on the operand
+// stack only, under each of the four allocating instructions that consume
+// operands (newarr, newmat, an allocating call, box), then files it in a
+// result array. With a zero GC threshold every slow-path allocation
+// collects. The parked arrays and the newarr/newmat/callee allocations are
+// large objects, which always take the slow path; box refills the TLAB that
+// the collection at the parked array's own allocation retired. So a
+// collection fires at each of the four instructions while the parked array
+// is young. Survivors promote, so both minor and major collections run. A
+// missed root frees the parked array: the value read back through it and
+// the exact census after a final major collection catch that. The second
+// call runs clr11.tiered in its promoted tier.
+TEST(VmGc, OperandStackRefsSurviveCollectionAtConsumingInstruction) {
+  constexpr std::int32_t kIters = 64;
+  constexpr std::int32_t kKinds = 4;  // newarr, newmat, call, box
+  constexpr std::int32_t kBig = 4096;  // elements: a 16-32 KiB large object
+  constexpr int kCalls = 2;
+  static const char* const kKindName[kKinds] = {"newarr", "newmat", "call",
+                                                "box"};
+  std::vector<std::string> names;
+  for (const EngineProfile& p : profiles::all()) names.push_back(p.name);
+  names.push_back("clr11.tiered");
+
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    VirtualMachine vm;
+    Module& mod = vm.module();
+    ILBuilder a(mod, "gcmap_alloc", {{ValType::I32}, ValType::Ref});
+    a.ldarg(0).newarr(ValType::F64).ret();
+    const auto alloc = a.finish();
+
+    ILBuilder b(mod, "gcmap", {{}, ValType::Ref});
+    const auto i = b.add_local(ValType::I32);
+    const auto out = b.add_local(ValType::Ref);
+    const auto tmp = b.add_local(ValType::Ref);
+    b.ldc_i4(kIters * kKinds).newarr(ValType::Ref).stloc(out);
+    auto cond = b.new_label();
+    auto top = b.new_label();
+    b.ldc_i4(0).stloc(i).br(cond);
+    b.bind(top);
+    for (std::int32_t k = 0; k < kKinds; ++k) {
+      // Stack: [held] with held[0] = i * kKinds + k.
+      b.ldc_i4(kBig).newarr(ValType::I32).dup().ldc_i4(0);
+      b.ldloc(i).ldc_i4(kKinds).mul().ldc_i4(k).add().stelem(ValType::I32);
+      switch (k) {
+        case 0: b.ldc_i4(kBig).newarr(ValType::F64); break;
+        case 1: b.ldc_i4(64).ldc_i4(64).newmat(ValType::F64); break;
+        case 2: b.ldc_i4(kBig).call(alloc); break;
+        default: b.ldloc(i).box(ValType::I32); break;
+      }
+      b.pop().stloc(tmp);
+      b.ldloc(out).ldloc(i).ldc_i4(kKinds).mul().ldc_i4(k).add();
+      b.ldloc(tmp).stelem(ValType::Ref);
+    }
+    b.ldloc(i).ldc_i4(1).add().stloc(i);
+    b.bind(cond);
+    b.ldloc(i).ldc_i4(kIters).blt(top);
+    b.ldloc(out).ret();
+    const auto m = b.finish();
+    verify(mod, m);
+
+    Heap& heap = vm.heap();
+    vm.collect();
+    const HeapStats before = heap.stats();
+    heap.set_threshold(0);
+    auto engine = make_engine(vm, profiles::by_name(name));
+    VMContext& ctx = vm.main_context();
+    ctx.engine = engine.get();
+    std::vector<ObjRef> results;
+    for (int call = 0; call < kCalls; ++call) {
+      ObjRef res = engine->invoke(ctx, m, {}).ref;
+      ASSERT_FALSE(ctx.has_pending());
+      ASSERT_NE(res, nullptr);
+      vm.pin(res);
+      results.push_back(res);
+    }
+    heap.set_threshold(std::size_t{1} << 30);
+    const HeapStats during = heap.stats();
+    EXPECT_GE(during.collections - before.collections,
+              static_cast<std::size_t>(kCalls * kIters * kKinds));
+    EXPECT_GT(during.minor_collections, before.minor_collections);
+    EXPECT_GT(during.major_collections, before.major_collections);
+
+    for (ObjRef res : results) {
+      ASSERT_EQ(res->length, kIters * kKinds);
+      for (std::int32_t j = 0; j < kIters * kKinds; ++j) {
+        ObjRef held = res->ref_data()[j];
+        ASSERT_NE(held, nullptr) << kKindName[j % kKinds] << " #" << j;
+        ASSERT_EQ(held->kind, ObjKind::Array)
+            << kKindName[j % kKinds] << " #" << j;
+        EXPECT_EQ(held->i32_data()[0], j)
+            << kKindName[j % kKinds] << " #" << j;
+      }
+    }
+    vm.collect();
+    const HeapStats after = heap.stats();
+    EXPECT_EQ(after.live_objects,
+              before.live_objects + kCalls * (1 + kIters * kKinds));
+    EXPECT_EQ(after.total_allocations - after.swept_objects,
+              after.live_objects);
+    for (ObjRef res : results) vm.unpin(res);
+  }
+}
+
 TEST(VmGc, HeapStatsTrackLiveBytes) {
   VMFixture f;
   const auto before = f.vm.heap().stats();
