@@ -1,8 +1,9 @@
 // Graph 5: exception handling — rethrowing an existing object ("Throw"),
 // constructing a new exception per iteration ("New"), and an exception
-// raised one call level down ("Method"). The paper's headline here: every
-// CLI engine pays far more per exception than the JVMs (cheap_exceptions
-// profiles model the JVM side).
+// raised one call level down ("Method"). The paper found every CLI engine
+// paying far more per exception than the JVMs. Here every optimizing
+// profile, CLI or JVM, runs the same throw path, so the rows order by tier
+// and the JVM profiles do not lead (EXPERIMENTS.md claim 6).
 #include <stdexcept>
 
 #include "cil/micro.hpp"

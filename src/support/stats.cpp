@@ -5,56 +5,6 @@
 
 namespace hpcnet::support {
 
-namespace {
-double median_of(std::vector<double> v) {
-  if (v.empty()) return 0;
-  const std::size_t mid = v.size() / 2;
-  std::nth_element(v.begin(), v.begin() + mid, v.end());
-  double hi = v[mid];
-  if (v.size() % 2 == 1) return hi;
-  std::nth_element(v.begin(), v.begin() + mid - 1, v.begin() + mid);
-  return 0.5 * (hi + v[mid - 1]);
-}
-}  // namespace
-
-Summary summarize(const std::vector<double>& samples) {
-  Summary s;
-  s.count = samples.size();
-  if (samples.empty()) return s;
-  s.min = *std::min_element(samples.begin(), samples.end());
-  s.max = *std::max_element(samples.begin(), samples.end());
-  double sum = 0;
-  for (double x : samples) sum += x;
-  s.mean = sum / static_cast<double>(samples.size());
-  double var = 0;
-  for (double x : samples) var += (x - s.mean) * (x - s.mean);
-  s.stddev = samples.size() > 1
-                 ? std::sqrt(var / static_cast<double>(samples.size() - 1))
-                 : 0.0;
-  s.median = median_of(samples);
-  return s;
-}
-
-std::vector<double> find_outliers(const std::vector<double>& samples,
-                                  double k) {
-  std::vector<double> out;
-  if (samples.size() < 3) return out;
-  const double med = median_of(samples);
-  std::vector<double> dev;
-  dev.reserve(samples.size());
-  for (double x : samples) dev.push_back(std::fabs(x - med));
-  const double mad = median_of(dev);
-  if (mad == 0) return out;
-  for (double x : samples) {
-    if (std::fabs(x - med) / mad > k) out.push_back(x);
-  }
-  return out;
-}
-
-double representative(const std::vector<double>& samples) {
-  return median_of(samples);
-}
-
 double geometric_mean(const std::vector<double>& values) {
   if (values.empty()) return 0;
   double log_sum = 0;

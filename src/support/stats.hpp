@@ -1,7 +1,6 @@
-// Small statistics helpers used by the benchmark harnesses: the paper ran
-// each micro-benchmark 100 times and inspected the samples for outliers
-// before reporting a representative single run. OutlierFilter implements the
-// same screen (median absolute deviation based).
+// Small statistics helpers: the geometric mean behind the SciMark composite
+// score, and the fixed-bucket histogram the telemetry hot paths record
+// latencies into.
 #pragma once
 
 #include <cstddef>
@@ -9,27 +8,6 @@
 #include <vector>
 
 namespace hpcnet::support {
-
-struct Summary {
-  double min = 0;
-  double max = 0;
-  double mean = 0;
-  double median = 0;
-  double stddev = 0;
-  std::size_t count = 0;
-};
-
-/// Summary statistics for a set of samples. Empty input yields all zeros.
-Summary summarize(const std::vector<double>& samples);
-
-/// Returns the samples whose distance from the median exceeds
-/// `k` * MAD (median absolute deviation). k=3.5 is the usual screen.
-std::vector<double> find_outliers(const std::vector<double>& samples,
-                                  double k = 3.5);
-
-/// A representative value per the paper's procedure: check for outliers,
-/// then report the median sample.
-double representative(const std::vector<double>& samples);
 
 /// Geometric mean (used for the SciMark composite score).
 double geometric_mean(const std::vector<double>& values);

@@ -1,4 +1,4 @@
-// Monotonic wall-clock timing helpers shared by the JGF instrumentor and the
+// Monotonic wall-clock timing helpers shared by the VM's telemetry and the
 // benchmark harnesses. The paper keeps support code (timers, RNG) identical
 // across the Java and C# versions of every benchmark; we mirror that by
 // funnelling all measurement through this one clock.

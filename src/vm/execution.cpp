@@ -28,7 +28,6 @@ EngineProfile clr11() {
   p.flags.enregister_limit = 64;  // paper §5
   p.flags.fast_multidim = true;
   p.flags.fast_math = true;
-  p.flags.cheap_exceptions = false;
   // The commercial leaders run the full classic pass set (paper §5: the
   // CLR and IBM JITs eliminate the most operations from the hot paths).
   p.flags.inline_calls = true;
@@ -45,7 +44,6 @@ EngineProfile ibm131() {
   p.flags.mul_imm_fusion = false;
   p.flags.fast_multidim = false;  // JVM lacks true rank-2 arrays
   p.flags.fast_math = false;      // paper: CLR Math library faster
-  p.flags.cheap_exceptions = true;
   p.flags.inline_calls = true;  // the IBM JIT inlined aggressively
   p.flags.inline_max_il = 64;
   p.flags.cse = true;
@@ -57,11 +55,9 @@ EngineProfile sun14() {
   p.name = "sun14";
   p.tier = Tier::Optimizing;
   p.flags.fuse_cmp_branch = false;  // fewer passes than the leaders
-  p.flags.imm_operands = true;
   p.flags.mul_imm_fusion = false;
   p.flags.fast_multidim = false;
   p.flags.fast_math = false;
-  p.flags.cheap_exceptions = true;
   // HotSpot client compiler: local value numbering, but conservative
   // inlining (modelled here as none).
   p.flags.cse = true;
@@ -76,7 +72,6 @@ EngineProfile bea81() {
   p.flags.mul_imm_fusion = false;
   p.flags.fast_multidim = false;
   p.flags.fast_math = false;
-  p.flags.cheap_exceptions = true;
   // JRockit: strong inliner and value numbering, but no loop-oriented
   // passes in this mix (it also skips BCE above).
   p.flags.inline_calls = true;

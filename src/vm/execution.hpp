@@ -74,9 +74,7 @@ struct TierPolicy {
 /// Optimization-pass flags for the Optimizing tier. Each maps to a behaviour
 /// the paper observed in a specific JIT (DESIGN.md §5).
 struct EngineFlags {
-  bool copy_propagation = true;   // enregistration of stack traffic
   bool fuse_cmp_branch = true;    // compare+branch superinstructions
-  bool imm_operands = true;       // constant operands folded into instructions
   bool bounds_check_elim = true;  // hoist array bounds checks in counted loops
   bool redundant_const_store = false;  // CLR 1.1 quirk: spills the divisor
                                        // constant to a temp (paper Table 6)
@@ -86,13 +84,8 @@ struct EngineFlags {
                                    // (CLR 1.0/1.1 used 64; paper §5)
   bool fast_multidim = true;   // direct rank-2 indexing vs generic helper
   bool fast_math = true;       // inlined math intrinsics vs generic call path
-  bool cheap_exceptions = false;  // JVM-style lightweight throw path
   bool inline_calls = false;   // method inlining at CALL sites
   int inline_max_il = 24;      // max callee body size (IL instructions)
-  int inline_depth = 2;        // inlining rounds; a directly recursive callee
-                               // unrolls one level per round (the HotSpot
-                               // MaxRecursiveInlineLevel idea)
-  int inline_total_il = 256;   // stop expanding past this caller body size
   bool cse = false;            // common-subexpression elimination (EBB-scoped
                                // value numbering incl. ldlen/field/elem loads)
   bool vectorize = false;      // VECLOOP superinstruction lowering for

@@ -19,14 +19,13 @@ namespace hpcnet::vm {
 
 namespace {
 
+using regir::kRegFieldBits;
+using regir::kRegFieldMask;
 using regir::RCode;
 using regir::RInstr;
 using regir::ROp;
 
 constexpr std::uint8_t kTierIndex = static_cast<std::uint8_t>(Tier::Optimizing);
-
-constexpr std::int64_t kRegFieldBits = 20;
-constexpr std::int64_t kRegFieldMask = (1 << kRegFieldBits) - 1;
 
 struct OptFrame {
   GcFrame gc;  // must be first

@@ -55,10 +55,8 @@ class Compiler {
     translate();
     mark(telemetry::JitPass::Translate);
     trace("translate");
-    if (flags_.copy_propagation) {
-      optimize_blocks();
-      optimize_blocks();  // second round cleans copies exposed by DCE
-    }
+    optimize_blocks();
+    optimize_blocks();  // second round cleans copies exposed by DCE
     mark(telemetry::JitPass::Optimize);
     trace("copyprop+dce");
     if (flags_.cse) {
@@ -69,10 +67,8 @@ class Compiler {
       for (int i = 0; i < 2; ++i) {
         cse_blocks();
         mark(telemetry::JitPass::Cse);
-        if (flags_.copy_propagation) {
-          optimize_blocks();
-          mark(telemetry::JitPass::Optimize);
-        }
+        optimize_blocks();
+        mark(telemetry::JitPass::Optimize);
       }
     }
     mark(telemetry::JitPass::Cse);
@@ -318,7 +314,7 @@ void Compiler::translate_one(std::int32_t pc, const Instr& in) {
       };
 
       bool emitted = false;
-      if (cb.has_value() && flags_.imm_operands) {
+      if (cb.has_value()) {
         // Immediate-operand instruction selection, gated per-op by the
         // profile (the "different JITs optimize different operations"
         // result in the paper's §5).
@@ -394,7 +390,7 @@ void Compiler::translate_one(std::int32_t pc, const Instr& in) {
     case Op::XOR: {
       const bool i4 = in.type == ValType::I32;
       const auto ca = const_at(static_cast<std::size_t>(d - 1));
-      if (in.op == Op::AND && i4 && ca.has_value() && flags_.imm_operands) {
+      if (in.op == Op::AND && i4 && ca.has_value()) {
         RInstr& r = emit(ROp::ANDI_I4, sreg(d - 2, in.type), sreg(d - 2, in.type));
         r.imm.i64 = static_cast<std::int64_t>(ca->raw);
       } else {
@@ -418,7 +414,7 @@ void Compiler::translate_one(std::int32_t pc, const Instr& in) {
     case Op::SHR_UN: {
       const bool i4 = in.type == ValType::I32;
       const auto ca = const_at(static_cast<std::size_t>(d - 1));
-      if (ca.has_value() && flags_.imm_operands && in.op != Op::SHR_UN) {
+      if (ca.has_value() && in.op != Op::SHR_UN) {
         const ROp iop = in.op == Op::SHL ? (i4 ? ROp::SHLI_I4 : ROp::SHLI_I8)
                                          : (i4 ? ROp::SHRI_I4 : ROp::SHRI_I8);
         RInstr& r = emit(iop, sreg(d - 2, in.type), sreg(d - 2, in.type));
@@ -480,7 +476,7 @@ void Compiler::translate_one(std::int32_t pc, const Instr& in) {
       const std::int32_t rb = sreg(d - 1, t);
       const auto cb = const_at(static_cast<std::size_t>(d - 1));
       if (flags_.fuse_cmp_branch) {
-        if (t == ValType::I32 && cb.has_value() && flags_.imm_operands) {
+        if (t == ValType::I32 && cb.has_value()) {
           ROp op;
           switch (in.op) {
             case Op::BEQ: op = ROp::JEQI_I4; break;
@@ -878,17 +874,10 @@ std::vector<std::int32_t> Compiler::live_out_stack_regs(
   const std::int32_t fall_il = block_end < out_.size()
                                    ? out_[block_end].il_pc
                                    : -1;  // next block's first instruction
-  if (is_branch(last.op)) {
-    add_entry_stack(last.d);  // branch target (IL pc pre-compaction)
-    if (last.op != ROp::JMP && last.op != ROp::JMPB) {
-      add_entry_stack(fall_il);
-    }
-  } else if (last.op == ROp::RET_R || last.op == ROp::THROW_R ||
-             last.op == ROp::LEAVE_R || last.op == ROp::ENDFINALLY_R) {
-    // No stack values survive these exits.
-  } else {
-    add_entry_stack(fall_il);
-  }
+  // Branch target (an IL pc pre-compaction), then the fall-through; no
+  // stack values survive the exits (ret, throw, leave, endfinally).
+  if (is_branch(last.op)) add_entry_stack(last.d);
+  if (falls_through(last.op)) add_entry_stack(fall_il);
   return live;
 }
 
@@ -943,106 +932,15 @@ void Compiler::optimize_blocks() {
     for (std::size_t i = lo; i < hi; ++i) {
       RInstr& in = out_[i];
       if (in.op == ROp::NOP_R) continue;
-      // Rewrite uses through the copy map.
+      // Rewrite uses through the copy map (unchecked stores keep their
+      // source register: kKeepD).
       if (!in.pinned()) {
-        auto rewrite = [&](std::int32_t& r) {
-          if (r >= 0) r = root(r);
-        };
-        switch (in.op) {
-          case ROp::MOV:
-          case ROp::MEMLD:
-          case ROp::MEMST:
-            rewrite(in.a);
-            break;
-          case ROp::STFLD_R:
-            rewrite(in.a);
-            rewrite(in.d);
-            break;
-          case ROp::STSFLD_R:
-            rewrite(in.d);
-            break;
-          case ROp::STELEM_I4: case ROp::STELEM_I8: case ROp::STELEM_R4:
-          case ROp::STELEM_R8: case ROp::STELEM_REF:
-            rewrite(in.a);
-            rewrite(in.b);
-            rewrite(in.d);
-            break;
-          case ROp::LDEL2_I4: case ROp::LDEL2_I8: case ROp::LDEL2_R4:
-          case ROp::LDEL2_R8: case ROp::LDEL2_REF: case ROp::LDEL2_SLOW: {
-            rewrite(in.a);
-            rewrite(in.b);
-            std::int32_t c = static_cast<std::int32_t>(in.imm.i64 & kRegFieldMask);
-            const std::int64_t rest = in.imm.i64 & ~kRegFieldMask;
-            rewrite(c);
-            in.imm.i64 = rest | c;
-            break;
-          }
-          case ROp::STEL2_I4: case ROp::STEL2_I8: case ROp::STEL2_R4:
-          case ROp::STEL2_R8: case ROp::STEL2_REF: case ROp::STEL2_SLOW: {
-            rewrite(in.a);
-            rewrite(in.b);
-            std::int32_t c = static_cast<std::int32_t>(in.imm.i64 & kRegFieldMask);
-            std::int32_t v = static_cast<std::int32_t>((in.imm.i64 >> kRegFieldBits) & kRegFieldMask);
-            const std::int64_t rest =
-                in.imm.i64 & ~(kRegFieldMask | (kRegFieldMask << kRegFieldBits));
-            rewrite(c);
-            rewrite(v);
-            in.imm.i64 = rest | c | (static_cast<std::int64_t>(v) << kRegFieldBits);
-            break;
-          }
-          case ROp::CALL_R:
-          case ROp::CALLINTR_R: {
-            const auto argc = static_cast<std::int32_t>(in.imm.i64);
-            for (std::int32_t k = 0; k < argc; ++k) {
-              std::int32_t& r = rc_.args_pool[static_cast<std::size_t>(in.b + k)];
-              r = root(r);
-            }
-            break;
-          }
-          case ROp::RET_R:
-          case ROp::THROW_R:
-          case ROp::CARDMARK:
-          case ROp::JZ_I4: case ROp::JNZ_I4: case ROp::JZ_I8:
-          case ROp::JNZ_I8: case ROp::JZ_REF: case ROp::JNZ_REF:
-            rewrite(in.a);
-            break;
-          case ROp::JEQI_I4: case ROp::JNEI_I4: case ROp::JLTI_I4:
-          case ROp::JLEI_I4: case ROp::JGTI_I4: case ROp::JGEI_I4:
-            rewrite(in.a);
-            break;
-          case ROp::JEQ_I4: case ROp::JNE_I4: case ROp::JLT_I4:
-          case ROp::JLE_I4: case ROp::JGT_I4: case ROp::JGE_I4:
-          case ROp::JEQ_I8: case ROp::JNE_I8: case ROp::JLT_I8:
-          case ROp::JLE_I8: case ROp::JGT_I8: case ROp::JGE_I8:
-          case ROp::JEQ_R4: case ROp::JNE_R4: case ROp::JLT_R4:
-          case ROp::JLE_R4: case ROp::JGT_R4: case ROp::JGE_R4:
-          case ROp::JEQ_R8: case ROp::JNE_R8: case ROp::JLT_R8:
-          case ROp::JLE_R8: case ROp::JGT_R8: case ROp::JGE_R8:
-          case ROp::JEQ_REF: case ROp::JNE_REF:
-            rewrite(in.a);
-            rewrite(in.b);
-            break;
-          case ROp::JMP:
-          case ROp::JMPB:
-          case ROp::LEAVE_R:
-          case ROp::ENDFINALLY_R:
-          case ROp::SAFEPOINT:
-          case ROp::LDI:
-          case ROp::LDSTR_R:
-          case ROp::NEWOBJ_R:
-          case ROp::LDSFLD_R:
-            break;
-          default:
-            rewrite(in.a);
-            if (in.b >= 0 && in.op != ROp::NEWARR_R && in.op != ROp::LDFLD_R &&
-                in.op != ROp::BOX_R && in.op != ROp::UNBOX_R) {
-              rewrite(in.b);
-            }
-            break;
-        }
+        const std::int32_t src = in.d;
+        for_each_use(in, rc_.args_pool, [&](std::int32_t& r) { r = root(r); });
+        if (info(in.op).roles & kKeepD) in.d = src;
       }
       // Update the copy map.
-      const Operands ops = operands_of(in, rc_.args_pool);
+      const Operands ops = operands_of(in);
       if (ops.def >= 0) {
         const auto d = static_cast<std::size_t>(ops.def);
         ++ver[d];
@@ -1061,7 +959,7 @@ void Compiler::optimize_blocks() {
     for (std::size_t i = hi; i-- > lo;) {
       RInstr& in = out_[i];
       if (in.op == ROp::NOP_R) continue;
-      Operands ops = operands_of(in, rc_.args_pool);
+      Operands ops = operands_of(in);
       const bool removable = is_pure(in.op) && !in.pinned() && ops.def >= 0 &&
                              !is_live(ops.def);
       if (removable) {
@@ -1069,13 +967,8 @@ void Compiler::optimize_blocks() {
         continue;
       }
       if (ops.def >= 0) set_live(ops.def, false);
-      for (int k = 0; k < ops.nuses; ++k) set_live(ops.uses[k], true);
-      if (in.op == ROp::CALL_R || in.op == ROp::CALLINTR_R) {
-        const auto argc = static_cast<std::int32_t>(in.imm.i64);
-        for (std::int32_t k = 0; k < argc; ++k) {
-          set_live(rc_.args_pool[static_cast<std::size_t>(in.b + k)], true);
-        }
-      }
+      for_each_use(in, rc_.args_pool,
+                   [&](std::int32_t r) { set_live(r, true); });
     }
     // Drop self-moves exposed by propagation.
     for (std::size_t i = lo; i < hi; ++i) {
@@ -1095,9 +988,9 @@ void Compiler::optimize_blocks() {
 // locals are renumbered after them, branch targets are rebased, and every RET
 // becomes a branch past the splice (the return value composes through the
 // operand stack). A directly recursive callee unrolls one level per round —
-// the HotSpot MaxRecursiveInlineLevel idea — bounded by inline_depth and the
-// total growth budget. The expanded body is re-verified and kept alive via
-// RCode::body so handler tables, stack maps and il_pc ranges all
+// the HotSpot MaxRecursiveInlineLevel idea — bounded by kInlineDepth and the
+// kInlineTotalIl growth budget. The expanded body is re-verified and kept
+// alive via RCode::body so handler tables, stack maps and il_pc ranges all
 // describe the code that was actually compiled.
 
 bool Compiler::inlinable(const MethodDef& callee) const {
@@ -1205,9 +1098,9 @@ void Compiler::inline_methods() {
 
   auto work = std::make_shared<MethodDef>(m_);
   const std::size_t growth_cap =
-      m_.code.size() + static_cast<std::size_t>(flags_.inline_total_il);
+      m_.code.size() + static_cast<std::size_t>(kInlineTotalIl);
   bool changed_any = false;
-  for (int round = 0; round < flags_.inline_depth; ++round) {
+  for (int round = 0; round < kInlineDepth; ++round) {
     bool changed = false;
     for (std::size_t pc = 0; pc < work->code.size(); ++pc) {
       if (work->code.size() >= growth_cap) break;
@@ -1260,53 +1153,12 @@ bool cse_value_op(ROp op) {
   // value-numbered too (the key is then (LDI, -1, -1, imm)) so repeated
   // constants — array indexes especially — unify, which is what lets the
   // CHK_BOUNDS dedup below see identical (array, index) pairs.
-  if (op == ROp::MOV) return false;
-  if (is_pure(op)) return true;
-  switch (op) {
-    case ROp::LDLEN_R:
-    case ROp::LDFLD_R:
-    case ROp::LDELEMU_I4: case ROp::LDELEMU_I8: case ROp::LDELEMU_R4:
-    case ROp::LDELEMU_R8: case ROp::LDELEMU_REF:
-    case ROp::LDEL2_I4: case ROp::LDEL2_I8: case ROp::LDEL2_R4:
-    case ROp::LDEL2_R8: case ROp::LDEL2_REF: case ROp::LDEL2_SLOW:
-    case ROp::MATH1_R8: case ROp::MATH2_R8:
-    case ROp::ABS_I4_R: case ROp::ABS_I8_R: case ROp::ABS_R4_R:
-    case ROp::ABS_R8_R:
-    case ROp::MAX_I4_R: case ROp::MAX_I8_R: case ROp::MAX_R4_R:
-    case ROp::MAX_R8_R:
-    case ROp::MIN_I4_R: case ROp::MIN_I8_R: case ROp::MIN_R4_R:
-    case ROp::MIN_R8_R:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_field_load(ROp op) { return op == ROp::LDFLD_R; }
-
-bool is_elem_load(ROp op) {
-  switch (op) {
-    case ROp::LDELEMU_I4: case ROp::LDELEMU_I8: case ROp::LDELEMU_R4:
-    case ROp::LDELEMU_R8: case ROp::LDELEMU_REF:
-    case ROp::LDEL2_I4: case ROp::LDEL2_I8: case ROp::LDEL2_R4:
-    case ROp::LDEL2_R8: case ROp::LDEL2_REF: case ROp::LDEL2_SLOW:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_elem_store(ROp op) {
-  switch (op) {
-    case ROp::STELEM_I4: case ROp::STELEM_I8: case ROp::STELEM_R4:
-    case ROp::STELEM_R8: case ROp::STELEM_REF:
-    case ROp::STELEMU_I4: case ROp::STELEMU_I8: case ROp::STELEMU_R4:
-    case ROp::STELEMU_R8: case ROp::STELEMU_REF:
-    case ROp::STEL2_I4: case ROp::STEL2_I8: case ROp::STEL2_R4:
-    case ROp::STEL2_R8: case ROp::STEL2_REF: case ROp::STEL2_SLOW:
-      return true;
-    default:
-      return false;
+  switch (info(op).value) {
+    case Value::Pure: return op != ROp::MOV;
+    case Value::Cse:
+    case Value::FieldLoad:
+    case Value::ElemLoad: return true;
+    default: return false;
   }
 }
 
@@ -1386,10 +1238,12 @@ void Compiler::cse_blocks() {
   // must be marked again by the next store.
   std::uint32_t card_epoch = 0;
   auto epoch_of = [&](ROp op) -> std::uint32_t {
-    if (is_field_load(op)) return field_epoch;
-    if (is_elem_load(op)) return elem_epoch;
     if (op == ROp::CARDMARK) return card_epoch;
-    return 0;
+    switch (info(op).value) {
+      case Value::FieldLoad: return field_epoch;
+      case Value::ElemLoad: return elem_epoch;
+      default: return 0;
+    }
   };
   auto find = [&](const Key& key) -> const Fact* {
     const std::int32_t at = slot_of(key);
@@ -1432,17 +1286,6 @@ void Compiler::cse_blocks() {
                                           ver[static_cast<std::size_t>(r)],
                                           ver[static_cast<std::size_t>(to)]};
   };
-  // Rank-2 accesses keep raw keys: their column register is encoded in
-  // imm, which the alias map cannot rewrite consistently.
-  auto imm_encodes_reg = [](ROp op) {
-    switch (op) {
-      case ROp::LDEL2_I4: case ROp::LDEL2_I8: case ROp::LDEL2_R4:
-      case ROp::LDEL2_R8: case ROp::LDEL2_REF: case ROp::LDEL2_SLOW:
-        return true;
-      default:
-        return false;
-    }
-  };
   // Values are preserved in fresh "shadow" registers (a MOV inserted right
   // after the defining instruction) because the stack-register allocator
   // reuses destination registers aggressively — by the time a duplicate
@@ -1465,13 +1308,15 @@ void Compiler::cse_blocks() {
       if (in.op == ROp::NOP_R) continue;
 
       // Canonicalized operand view, taken before this instruction's own
-      // definition invalidates anything. `b` is a register for every
-      // candidate op except ldfld (field index), which stays raw.
-      const bool raw_key = in.pinned() || imm_encodes_reg(in.op);
+      // definition invalidates anything. A `b` that is no register (ldfld's
+      // field index) stays raw, and so do the keys of rank-2 accesses: their
+      // column register is encoded in imm, which the alias map cannot
+      // rewrite consistently.
+      const std::uint16_t roles = info(in.op).roles;
+      const bool raw_key = in.pinned() || (roles & kUseLo) != 0;
       const std::int32_t ca = raw_key ? in.a : canon_of(in.a);
-      const std::int32_t cb = raw_key || in.op == ROp::LDFLD_R
-                                  ? in.b
-                                  : canon_of(in.b);
+      const std::int32_t cb = raw_key || !(roles & kUseB) ? in.b
+                                                          : canon_of(in.b);
       bool rewritten = false;
       if (!in.pinned() && cse_value_op(in.op)) {
         if (const Fact* f = find(Key{in.op, ca, cb, in.imm.i64})) {
@@ -1503,31 +1348,23 @@ void Compiler::cse_blocks() {
       }
 
       // Stores and calls may write memory that load facts describe.
-      if (in.op == ROp::CALL_R || in.op == ROp::CALLINTR_R) {
-        ++field_epoch;
-        ++elem_epoch;
-      } else if (in.op == ROp::STFLD_R || in.op == ROp::STSFLD_R) {
-        ++field_epoch;
-      } else if (is_elem_store(in.op)) {
-        ++elem_epoch;
-      }
-
       // Anything that can allocate — and so trigger a minor GC that clears
       // cards — ends card-mark redundancy: the next store to the same object
       // must mark again. SAFEPOINT parks for someone else's collection.
-      switch (in.op) {
-        case ROp::CALL_R: case ROp::CALLINTR_R:
-        case ROp::NEWOBJ_R: case ROp::NEWARR_R: case ROp::NEWMAT_R:
-        case ROp::BOX_R: case ROp::LDSTR_R:
-        case ROp::SAFEPOINT:
+      switch (info(in.op).value) {
+        case Value::Call:
+          ++field_epoch;
+          ++elem_epoch;
           ++card_epoch;
           break;
-        default:
-          break;
+        case Value::FieldStore: ++field_epoch; break;
+        case Value::ElemStore: ++elem_epoch; break;
+        case Value::Alloc: ++card_epoch; break;
+        default: break;
       }
 
       // Redefining a register retires every fact and alias that names it.
-      const Operands ops = operands_of(in, rc_.args_pool);
+      const Operands ops = operands_of(in);
       if (ops.def >= 0) ++ver[static_cast<std::size_t>(ops.def)];
 
       if (rewritten) {
@@ -1554,7 +1391,7 @@ void Compiler::cse_blocks() {
             for (int u = 0; u < ops.nuses && u < 3; ++u) f.dep[u] = ops.uses[u];
           } else {
             f.dep[0] = ca;
-            f.dep[1] = in.op == ROp::LDFLD_R ? -1 : cb;
+            f.dep[1] = roles & kUseB ? cb : -1;
           }
           const std::int32_t shadow =
               new_reg(rc_.reg_types[static_cast<std::size_t>(ops.def)]);
@@ -1607,14 +1444,14 @@ void Compiler::eliminate_bounds_checks() {
   const std::int32_t nregs = static_cast<std::int32_t>(rc_.reg_types.size());
   std::vector<std::int32_t> defs(static_cast<std::size_t>(nregs), 0);
   for (std::size_t i = 0; i < out_.size(); ++i) {
-    const Operands ops = operands_of(out_[i], rc_.args_pool);
+    const Operands ops = operands_of(out_[i]);
     if (ops.def >= 0) ++defs[static_cast<std::size_t>(ops.def)];
   }
 
   // A register's last definition strictly before position `at`.
   auto last_def_before = [&](std::int32_t reg, std::size_t at) -> std::int32_t {
     for (std::size_t k = at; k-- > 0;) {
-      if (operands_of(out_[k], rc_.args_pool).def == reg) {
+      if (operands_of(out_[k]).def == reg) {
         return static_cast<std::int32_t>(k);
       }
     }
@@ -1653,7 +1490,7 @@ void Compiler::eliminate_bounds_checks() {
     std::int32_t lendef = -1;
     bool bad = false;
     for (std::size_t k = static_cast<std::size_t>(body); k < j; ++k) {
-      if (operands_of(out_[k], rc_.args_pool).def == lenreg) {
+      if (operands_of(out_[k]).def == lenreg) {
         if (lendef >= 0) bad = true;
         lendef = static_cast<std::int32_t>(k);
       }
@@ -1673,7 +1510,7 @@ void Compiler::eliminate_bounds_checks() {
     // the ADDI is t's only in-loop def. No other defs of arr in the loop.
     std::int32_t incr_at = -1;
     for (std::size_t k = static_cast<std::size_t>(body); k < j && !bad; ++k) {
-      const Operands ops = operands_of(out_[k], rc_.args_pool);
+      const Operands ops = operands_of(out_[k]);
       if (ops.def == ireg) {
         if (incr_at >= 0) {
           bad = true;
@@ -1690,7 +1527,7 @@ void Compiler::eliminate_bounds_checks() {
             // The temp must not be redefined between the ADDI and the MOV.
             bool clean = true;
             for (std::size_t x = static_cast<std::size_t>(td) + 1; x < k; ++x) {
-              if (operands_of(out_[x], rc_.args_pool).def == t) clean = false;
+              if (operands_of(out_[x]).def == t) clean = false;
             }
             if (clean) {
               incr_at = static_cast<std::int32_t>(td);
@@ -1725,7 +1562,7 @@ void Compiler::eliminate_bounds_checks() {
       bool len_only_guard = true;
       for (std::size_t k = static_cast<std::size_t>(body); k <= j; ++k) {
         if (k == j || static_cast<std::int32_t>(k) == lendef) continue;
-        const Operands ops = operands_of(out_[k], rc_.args_pool);
+        const Operands ops = operands_of(out_[k]);
         for (int u = 0; u < ops.nuses; ++u) {
           if (ops.uses[u] == lenreg) len_only_guard = false;
         }

@@ -9,6 +9,13 @@
 
 namespace hpcnet::vm::regir {
 
+/// Inlining bounds shared by every profile: rounds of call-site expansion
+/// (a directly recursive callee unrolls one level per round, the HotSpot
+/// MaxRecursiveInlineLevel idea) and the caller growth budget in IL
+/// instructions past which no more call sites expand.
+inline constexpr int kInlineDepth = 2;
+inline constexpr int kInlineTotalIl = 256;
+
 /// Compiles a verified method under the profile's optimization flags.
 RCode compile(Module& module, const MethodDef& m, const EngineFlags& flags);
 

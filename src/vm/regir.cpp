@@ -34,242 +34,16 @@ Math2Fn math2_fn(std::int32_t intr_id) {
   }
 }
 
-namespace {
-
-const char* name_of(ROp op) {
-  switch (op) {
-    case ROp::NOP_R: return "nop";
-    case ROp::MOV: return "mov";
-    case ROp::MEMLD: return "mem.ld";
-    case ROp::MEMST: return "mem.st";
-    case ROp::LDI: return "ldi";
-    case ROp::LDSTR_R: return "ldstr";
-    case ROp::ADD_I4: return "add.i4";
-    case ROp::SUB_I4: return "sub.i4";
-    case ROp::MUL_I4: return "mul.i4";
-    case ROp::DIV_I4: return "div.i4";
-    case ROp::REM_I4: return "rem.i4";
-    case ROp::NEG_I4: return "neg.i4";
-    case ROp::ADD_I8: return "add.i8";
-    case ROp::SUB_I8: return "sub.i8";
-    case ROp::MUL_I8: return "mul.i8";
-    case ROp::DIV_I8: return "div.i8";
-    case ROp::REM_I8: return "rem.i8";
-    case ROp::NEG_I8: return "neg.i8";
-    case ROp::ADD_R4: return "add.r4";
-    case ROp::SUB_R4: return "sub.r4";
-    case ROp::MUL_R4: return "mul.r4";
-    case ROp::DIV_R4: return "div.r4";
-    case ROp::REM_R4: return "rem.r4";
-    case ROp::NEG_R4: return "neg.r4";
-    case ROp::ADD_R8: return "add.r8";
-    case ROp::SUB_R8: return "sub.r8";
-    case ROp::MUL_R8: return "mul.r8";
-    case ROp::DIV_R8: return "div.r8";
-    case ROp::REM_R8: return "rem.r8";
-    case ROp::NEG_R8: return "neg.r8";
-    case ROp::ADDI_I4: return "addi.i4";
-    case ROp::SUBI_I4: return "subi.i4";
-    case ROp::MULI_I4: return "muli.i4";
-    case ROp::DIVI_I4: return "divi.i4";
-    case ROp::REMI_I4: return "remi.i4";
-    case ROp::ADDI_I8: return "addi.i8";
-    case ROp::SUBI_I8: return "subi.i8";
-    case ROp::MULI_I8: return "muli.i8";
-    case ROp::DIVI_I8: return "divi.i8";
-    case ROp::REMI_I8: return "remi.i8";
-    case ROp::ADDI_R8: return "addi.r8";
-    case ROp::MULI_R8: return "muli.r8";
-    case ROp::AND_I4: return "and.i4";
-    case ROp::OR_I4: return "or.i4";
-    case ROp::XOR_I4: return "xor.i4";
-    case ROp::NOT_I4: return "not.i4";
-    case ROp::SHL_I4: return "shl.i4";
-    case ROp::SHR_I4: return "shr.i4";
-    case ROp::SHRU_I4: return "shru.i4";
-    case ROp::AND_I8: return "and.i8";
-    case ROp::OR_I8: return "or.i8";
-    case ROp::XOR_I8: return "xor.i8";
-    case ROp::NOT_I8: return "not.i8";
-    case ROp::SHL_I8: return "shl.i8";
-    case ROp::SHR_I8: return "shr.i8";
-    case ROp::SHRU_I8: return "shru.i8";
-    case ROp::SHLI_I4: return "shli.i4";
-    case ROp::SHRI_I4: return "shri.i4";
-    case ROp::SHLI_I8: return "shli.i8";
-    case ROp::SHRI_I8: return "shri.i8";
-    case ROp::ANDI_I4: return "andi.i4";
-    case ROp::CEQ_I4: return "ceq.i4";
-    case ROp::CGT_I4: return "cgt.i4";
-    case ROp::CLT_I4: return "clt.i4";
-    case ROp::CEQ_I8: return "ceq.i8";
-    case ROp::CGT_I8: return "cgt.i8";
-    case ROp::CLT_I8: return "clt.i8";
-    case ROp::CEQ_R4: return "ceq.r4";
-    case ROp::CGT_R4: return "cgt.r4";
-    case ROp::CLT_R4: return "clt.r4";
-    case ROp::CEQ_R8: return "ceq.r8";
-    case ROp::CGT_R8: return "cgt.r8";
-    case ROp::CLT_R8: return "clt.r8";
-    case ROp::CEQ_REF: return "ceq.ref";
-    case ROp::CV_I4_I8: return "cv.i4.i8";
-    case ROp::CV_I4_R4: return "cv.i4.r4";
-    case ROp::CV_I4_R8: return "cv.i4.r8";
-    case ROp::CV_I8_I4: return "cv.i8.i4";
-    case ROp::CV_I8_R4: return "cv.i8.r4";
-    case ROp::CV_I8_R8: return "cv.i8.r8";
-    case ROp::CV_R4_I4: return "cv.r4.i4";
-    case ROp::CV_R4_I8: return "cv.r4.i8";
-    case ROp::CV_R4_R8: return "cv.r4.r8";
-    case ROp::CV_R8_I4: return "cv.r8.i4";
-    case ROp::CV_R8_I8: return "cv.r8.i8";
-    case ROp::CV_R8_R4: return "cv.r8.r4";
-    case ROp::SEXT8: return "sext8";
-    case ROp::ZEXT8: return "zext8";
-    case ROp::SEXT16: return "sext16";
-    case ROp::ZEXT16: return "zext16";
-    case ROp::JMP: return "jmp";
-    case ROp::JMPB: return "jmpb";
-    case ROp::JZ_I4: return "jz.i4";
-    case ROp::JNZ_I4: return "jnz.i4";
-    case ROp::JZ_I8: return "jz.i8";
-    case ROp::JNZ_I8: return "jnz.i8";
-    case ROp::JZ_REF: return "jz.ref";
-    case ROp::JNZ_REF: return "jnz.ref";
-    case ROp::JEQ_I4: return "jeq.i4";
-    case ROp::JNE_I4: return "jne.i4";
-    case ROp::JLT_I4: return "jlt.i4";
-    case ROp::JLE_I4: return "jle.i4";
-    case ROp::JGT_I4: return "jgt.i4";
-    case ROp::JGE_I4: return "jge.i4";
-    case ROp::JEQ_I8: return "jeq.i8";
-    case ROp::JNE_I8: return "jne.i8";
-    case ROp::JLT_I8: return "jlt.i8";
-    case ROp::JLE_I8: return "jle.i8";
-    case ROp::JGT_I8: return "jgt.i8";
-    case ROp::JGE_I8: return "jge.i8";
-    case ROp::JEQ_R4: return "jeq.r4";
-    case ROp::JNE_R4: return "jne.r4";
-    case ROp::JLT_R4: return "jlt.r4";
-    case ROp::JLE_R4: return "jle.r4";
-    case ROp::JGT_R4: return "jgt.r4";
-    case ROp::JGE_R4: return "jge.r4";
-    case ROp::JEQ_R8: return "jeq.r8";
-    case ROp::JNE_R8: return "jne.r8";
-    case ROp::JLT_R8: return "jlt.r8";
-    case ROp::JLE_R8: return "jle.r8";
-    case ROp::JGT_R8: return "jgt.r8";
-    case ROp::JGE_R8: return "jge.r8";
-    case ROp::JEQ_REF: return "jeq.ref";
-    case ROp::JNE_REF: return "jne.ref";
-    case ROp::JEQI_I4: return "jeqi.i4";
-    case ROp::JNEI_I4: return "jnei.i4";
-    case ROp::JLTI_I4: return "jlti.i4";
-    case ROp::JLEI_I4: return "jlei.i4";
-    case ROp::JGTI_I4: return "jgti.i4";
-    case ROp::JGEI_I4: return "jgei.i4";
-    case ROp::CALL_R: return "call";
-    case ROp::CALLINTR_R: return "call.intr";
-    case ROp::MATH1_R8: return "math1.r8";
-    case ROp::MATH2_R8: return "math2.r8";
-    case ROp::ABS_I4_R: return "abs.i4";
-    case ROp::ABS_I8_R: return "abs.i8";
-    case ROp::ABS_R4_R: return "abs.r4";
-    case ROp::ABS_R8_R: return "abs.r8";
-    case ROp::MAX_I4_R: return "max.i4";
-    case ROp::MAX_I8_R: return "max.i8";
-    case ROp::MAX_R4_R: return "max.r4";
-    case ROp::MAX_R8_R: return "max.r8";
-    case ROp::MIN_I4_R: return "min.i4";
-    case ROp::MIN_I8_R: return "min.i8";
-    case ROp::MIN_R4_R: return "min.r4";
-    case ROp::MIN_R8_R: return "min.r8";
-    case ROp::RET_R: return "ret";
-    case ROp::NEWOBJ_R: return "newobj";
-    case ROp::LDFLD_R: return "ldfld";
-    case ROp::STFLD_R: return "stfld";
-    case ROp::LDSFLD_R: return "ldsfld";
-    case ROp::STSFLD_R: return "stsfld";
-    case ROp::NEWARR_R: return "newarr";
-    case ROp::LDLEN_R: return "ldlen";
-    case ROp::CHK_BOUNDS: return "chk.bounds";
-    case ROp::JLT_LEN: return "jlt.len";
-    case ROp::LDELEM_I4: return "ldelem.i4";
-    case ROp::LDELEM_I8: return "ldelem.i8";
-    case ROp::LDELEM_R4: return "ldelem.r4";
-    case ROp::LDELEM_R8: return "ldelem.r8";
-    case ROp::LDELEM_REF: return "ldelem.ref";
-    case ROp::STELEM_I4: return "stelem.i4";
-    case ROp::STELEM_I8: return "stelem.i8";
-    case ROp::STELEM_R4: return "stelem.r4";
-    case ROp::STELEM_R8: return "stelem.r8";
-    case ROp::STELEM_REF: return "stelem.ref";
-    case ROp::LDELEMU_I4: return "ldelem.i4.nb";
-    case ROp::LDELEMU_I8: return "ldelem.i8.nb";
-    case ROp::LDELEMU_R4: return "ldelem.r4.nb";
-    case ROp::LDELEMU_R8: return "ldelem.r8.nb";
-    case ROp::LDELEMU_REF: return "ldelem.ref.nb";
-    case ROp::STELEMU_I4: return "stelem.i4.nb";
-    case ROp::STELEMU_I8: return "stelem.i8.nb";
-    case ROp::STELEMU_R4: return "stelem.r4.nb";
-    case ROp::STELEMU_R8: return "stelem.r8.nb";
-    case ROp::STELEMU_REF: return "stelem.ref.nb";
-    case ROp::NEWMAT_R: return "newmat";
-    case ROp::LDEL2_I4: return "ldel2.i4";
-    case ROp::LDEL2_I8: return "ldel2.i8";
-    case ROp::LDEL2_R4: return "ldel2.r4";
-    case ROp::LDEL2_R8: return "ldel2.r8";
-    case ROp::LDEL2_REF: return "ldel2.ref";
-    case ROp::STEL2_I4: return "stel2.i4";
-    case ROp::STEL2_I8: return "stel2.i8";
-    case ROp::STEL2_R4: return "stel2.r4";
-    case ROp::STEL2_R8: return "stel2.r8";
-    case ROp::STEL2_REF: return "stel2.ref";
-    case ROp::LDEL2_SLOW: return "ldel2.generic";
-    case ROp::STEL2_SLOW: return "stel2.generic";
-    case ROp::LDMROWS_R: return "ldmrows";
-    case ROp::LDMCOLS_R: return "ldmcols";
-    case ROp::BOX_R: return "box";
-    case ROp::UNBOX_R: return "unbox";
-    case ROp::THROW_R: return "throw";
-    case ROp::LEAVE_R: return "leave";
-    case ROp::ENDFINALLY_R: return "endfinally";
-    case ROp::SAFEPOINT: return "safepoint";
-    case ROp::CARDMARK: return "cardmark";
-    case ROp::VECLOOP: return "vecloop";
-    case ROp::COUNT_: break;
-  }
-  return "?";
-}
-
-bool has_imm(ROp op) {
-  switch (op) {
-    case ROp::LDI:
-    case ROp::ADDI_I4: case ROp::SUBI_I4: case ROp::MULI_I4:
-    case ROp::DIVI_I4: case ROp::REMI_I4:
-    case ROp::ADDI_I8: case ROp::SUBI_I8: case ROp::MULI_I8:
-    case ROp::DIVI_I8: case ROp::REMI_I8:
-    case ROp::ADDI_R8: case ROp::MULI_R8:
-    case ROp::SHLI_I4: case ROp::SHRI_I4: case ROp::SHLI_I8:
-    case ROp::SHRI_I8: case ROp::ANDI_I4:
-    case ROp::JEQI_I4: case ROp::JNEI_I4: case ROp::JLTI_I4:
-    case ROp::JLEI_I4: case ROp::JGTI_I4: case ROp::JGEI_I4:
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
 std::string to_string(const RInstr& in) {
   char buf[160];
-  if (has_imm(in.op)) {
-    std::snprintf(buf, sizeof buf, "%-12s r%d, r%d, #%lld", name_of(in.op),
-                  in.d, in.a, static_cast<long long>(in.imm.i64));
+  const bool known = in.op < ROp::COUNT_;
+  const char* name = known ? info(in.op).name : "?";
+  if (known && info(in.op).imm == Imm::Operand) {
+    std::snprintf(buf, sizeof buf, "%-12s r%d, r%d, #%lld", name, in.d, in.a,
+                  static_cast<long long>(in.imm.i64));
   } else {
-    std::snprintf(buf, sizeof buf, "%-12s r%d, r%d, r%d", name_of(in.op), in.d,
-                  in.a, in.b);
+    std::snprintf(buf, sizeof buf, "%-12s r%d, r%d, r%d", name, in.d, in.a,
+                  in.b);
   }
   std::string s = buf;
   if (in.pinned()) s += "  ; pinned";

@@ -8,14 +8,16 @@
 // an object this very register has kept alive — so frames need no per-pc
 // maps at all, matching how generational JITs batch their root scans.
 //
-// Optimization passes (gated by EngineFlags, see DESIGN.md §5): constant
-// operand folding (immediate instruction forms), compare+branch fusion,
-// copy propagation + dead-move elimination (the "enregistration" the paper's
-// disassembly shows for CLR/IBM but not Mono/Rotor), the CLR's
-// redundant-constant-store quirk, the 64-local enregistration limit, and
-// array bounds-check elimination for counted loops bounded by ldlen.
+// Optimization passes (profile differences in EngineFlags, see DESIGN.md
+// §5): constant operand folding (immediate instruction forms),
+// compare+branch fusion, copy propagation + dead-move elimination (the
+// "enregistration" the paper's disassembly shows for CLR/IBM but not
+// Mono/Rotor), the CLR's redundant-constant-store quirk, the 64-local
+// enregistration limit, and array bounds-check elimination for counted
+// loops bounded by ldlen. Every op is one row of regir_ops.def.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -27,122 +29,119 @@
 namespace hpcnet::vm::regir {
 
 enum class ROp : std::uint8_t {
-  NOP_R = 0,
-  MOV,    // d <- a
-  MEMLD,  // d <- a  (spilled local load: pinned, never optimized)
-  MEMST,  // d <- a  (spilled local store: pinned)
-  LDI,    // d <- imm (raw 8 bytes)
-  LDSTR_R,  // d <- new string(a = pool id)   [alloc]
-
-  // Three-address arithmetic: d <- a op b.
-  ADD_I4, SUB_I4, MUL_I4, DIV_I4, REM_I4, NEG_I4,
-  ADD_I8, SUB_I8, MUL_I8, DIV_I8, REM_I8, NEG_I8,
-  ADD_R4, SUB_R4, MUL_R4, DIV_R4, REM_R4, NEG_R4,
-  ADD_R8, SUB_R8, MUL_R8, DIV_R8, REM_R8, NEG_R8,
-
-  // Immediate forms: d <- a op imm.
-  ADDI_I4, SUBI_I4, MULI_I4, DIVI_I4, REMI_I4,
-  ADDI_I8, SUBI_I8, MULI_I8, DIVI_I8, REMI_I8,
-  ADDI_R8, MULI_R8,
-
-  AND_I4, OR_I4, XOR_I4, NOT_I4, SHL_I4, SHR_I4, SHRU_I4,
-  AND_I8, OR_I8, XOR_I8, NOT_I8, SHL_I8, SHR_I8, SHRU_I8,
-  SHLI_I4, SHRI_I4, SHLI_I8, SHRI_I8, ANDI_I4,
-
-  // d <- (a cmp b) as i32 0/1.
-  CEQ_I4, CGT_I4, CLT_I4,
-  CEQ_I8, CGT_I8, CLT_I8,
-  CEQ_R4, CGT_R4, CLT_R4,
-  CEQ_R8, CGT_R8, CLT_R8,
-  CEQ_REF,
-
-  // Conversions: d <- conv(a).
-  CV_I4_I8, CV_I4_R4, CV_I4_R8,
-  CV_I8_I4, CV_I8_R4, CV_I8_R8,
-  CV_R4_I4, CV_R4_I8, CV_R4_R8,
-  CV_R8_I4, CV_R8_I8, CV_R8_R4,
-  SEXT8, ZEXT8, SEXT16, ZEXT16,  // on i32 in d <- a
-
-  // Control flow. Branch target is in `d`.
-  JMP,      // forward jump
-  JMPB,     // backward jump (safepoint poll)
-  JZ_I4, JNZ_I4, JZ_I8, JNZ_I8, JZ_REF, JNZ_REF,  // test a
-  // Fused compare-and-branch: test (a cmp b).
-  JEQ_I4, JNE_I4, JLT_I4, JLE_I4, JGT_I4, JGE_I4,
-  JEQ_I8, JNE_I8, JLT_I8, JLE_I8, JGT_I8, JGE_I8,
-  JEQ_R4, JNE_R4, JLT_R4, JLE_R4, JGT_R4, JGE_R4,
-  JEQ_R8, JNE_R8, JLT_R8, JLE_R8, JGT_R8, JGE_R8,
-  JEQ_REF, JNE_REF,
-  // Immediate compare-and-branch on i32: test (a cmp imm).
-  JEQI_I4, JNEI_I4, JLTI_I4, JLEI_I4, JGTI_I4, JGEI_I4,
-
-  CALL_R,      // a = method id, b = args-pool index, d = dst (-1 void),
-               // imm.i64 = argc                                  [gc point]
-  CALLINTR_R,  // a = intrinsic id, rest as CALL_R                [gc point]
-  // fast_math inlined intrinsics (no marshalling, no pending check). The
-  // immediate is the vm::Intr id, NOT a function pointer: compiled bodies
-  // must stay position-independent so a serialized archive restored into
-  // another process resolves the routine through math1_fn/math2_fn below.
-  MATH1_R8,  // d.f64 <- fn(a.f64), imm.i64 = vm::Intr id
-  MATH2_R8,  // d.f64 <- fn(a.f64, b.f64), imm.i64 = vm::Intr id
-  ABS_I4_R, ABS_I8_R, ABS_R4_R, ABS_R8_R,
-  MAX_I4_R, MAX_I8_R, MAX_R4_R, MAX_R8_R,
-  MIN_I4_R, MIN_I8_R, MIN_R4_R, MIN_R8_R,
-
-  RET_R,  // a = src reg or -1 for void
-
-  NEWOBJ_R,  // d <- new(a = class id)                            [alloc]
-  LDFLD_R,   // d <- a.fields[b]
-  STFLD_R,   // a.fields[b] <- d  (d is the SOURCE here)
-  LDSFLD_R,  // d <- statics(a)[b]
-  STSFLD_R,  // statics(a)[b] <- d
-
-  NEWARR_R,  // d <- new[a], b = ValType                          [alloc]
-  LDLEN_R,   // d <- a.length
-  CHK_BOUNDS,  // explicit range-check node (a = array, b = index); the
-               // translation emits one before every unchecked access and the
-               // BCE pass deletes the provably-redundant ones, exactly like
-               // the range-check IR nodes of production JITs
-  JLT_LEN,     // fused loop guard: if (a < b.length) jump (d = target);
-               // produced by BCE when the in-loop ldlen feeds only the guard
-  // Checked element access (a = array, b = index).
-  LDELEM_I4, LDELEM_I8, LDELEM_R4, LDELEM_R8, LDELEM_REF,
-  STELEM_I4, STELEM_I8, STELEM_R4, STELEM_R8, STELEM_REF,  // d = source
-  // Unchecked forms produced by bounds-check elimination.
-  LDELEMU_I4, LDELEMU_I8, LDELEMU_R4, LDELEMU_R8, LDELEMU_REF,
-  STELEMU_I4, STELEMU_I8, STELEMU_R4, STELEMU_R8, STELEMU_REF,
-
-  NEWMAT_R,   // d <- new[a, b], imm = ValType                    [alloc]
-  // Rank-2 access: a = matrix, b = row, imm low 32 = col reg,
-  // imm high 32 = source reg (stores). Fast = direct row-major indexing.
-  LDEL2_I4, LDEL2_I8, LDEL2_R4, LDEL2_R8, LDEL2_REF,
-  STEL2_I4, STEL2_I8, STEL2_R4, STEL2_R8, STEL2_REF,
-  // Generic (profile without fast_multidim): extra helper-call indirection.
-  LDEL2_SLOW, STEL2_SLOW,  // imm low 32 = col reg, high = src; b2 in `b`
-  LDMROWS_R, LDMCOLS_R,
-
-  BOX_R,    // d <- box(a), b = ValType                           [alloc]
-  UNBOX_R,  // d <- unbox(a), b = ValType
-
-  THROW_R,       // a = exception reg
-  LEAVE_R,       // a = IL target pc (resolved via unwind machine)
-  ENDFINALLY_R,
-  SAFEPOINT,
-
-  CARDMARK,  // card-mark a (object a ref field/element was just stored into);
-             // emitted after every ref STFLD/STELEM so the generational GC
-             // sees old->young edges; CSE drops repeats between GC points
-
-  VECLOOP,  // vectorized loop superinstruction; a = index into
-            // RCode::vec_loops. Placed in the preheader of the scalar loop
-            // it replaces: when its runtime span guards pass it runs the
-            // whole kernel, advances the induction variable to the limit
-            // (so the retained scalar loop exits immediately) and polls one
-            // safepoint; when they fail it is a no-op and the scalar loop
-            // runs unchanged. Never a branch, never an OSR header.
-
+#define ROP(op, ...) op,
+#include "vm/regir_ops.def"
+#undef ROP
   COUNT_,
 };
+
+/// Immediate form: whether `imm` is an operand value, disassembled as #imm.
+/// Other ops may still use `imm` for ids, counts or packed registers.
+enum class Imm : std::uint8_t { None, Operand };
+
+/// Control class: how execution leaves the instruction.
+enum class Control : std::uint8_t {
+  Fall,  // falls through to the next instruction
+  Cond,  // conditional branch to `d`, else falls through
+  Jump,  // unconditional branch to `d`
+  Exit,  // leaves the method or the handler (ret, throw, leave, endfinally)
+};
+
+/// Value class: what the optimizer may assume about an op's effects.
+enum class Value : std::uint8_t {
+  None,        // traps or has effects: never removed, never value-numbered
+  Pure,        // no effects: dead results are removed, CSE value-numbers it
+  Cse,         // CSE value-numbers it; kept even when dead (may trap)
+  FieldLoad,   // CSE value; reads an instance field
+  ElemLoad,    // CSE value; reads an array element
+  FieldStore,  // writes an instance or static field
+  ElemStore,   // writes an array element
+  Alloc,       // may allocate or park for a collection (GC point)
+  Call,        // calls out: may write any memory, GC point
+};
+
+/// Operand shape: which fields hold registers, and whether each is defined
+/// or read. A stored value travels in `d` (S = d read as the source).
+enum class Shape : std::uint8_t {
+  None,     // no register operands
+  D,        // d defined
+  DA,       // d defined; a read
+  DAB,      // d defined; a, b read
+  A,        // a read
+  Ret,      // a read, or -1 (void)
+  AB,       // a, b read
+  SA,       // a, d read
+  S,        // d read
+  SAB,      // a, b, d read
+  SABKeep,  // as SAB, but copy propagation leaves d in place (the unchecked
+            // stores; forwarding their source would change the emitted IR)
+  DABC,     // d defined; a, b and the imm-low column register read
+  ABCV,     // a, b, imm-low column and imm-high source registers read
+  Call,     // d defined, or -1 (void); args_pool[b, b + imm) read
+};
+
+/// Registers packed into `imm` by the rank-2 ops: imm-low is bits
+/// [0, kRegFieldBits), imm-high the next kRegFieldBits.
+inline constexpr std::int64_t kRegFieldBits = 20;
+inline constexpr std::int64_t kRegFieldMask = (1 << kRegFieldBits) - 1;
+
+/// Role bits of a shape: which register fields are defined or read, and
+/// two modifiers.
+enum Role : std::uint16_t {
+  kDefD = 1 << 0,     // d is defined
+  kUseD = 1 << 1,     // d is read (a store's source)
+  kUseA = 1 << 2,
+  kUseB = 1 << 3,
+  kUseLo = 1 << 4,    // imm-low register
+  kUseHi = 1 << 5,    // imm-high register
+  kUsePool = 1 << 6,  // args_pool[b, b + imm)
+  kVoid = 1 << 7,     // the d (Call) or a (Ret) role may be -1
+  kKeepD = 1 << 8,    // copy propagation does not rewrite d
+};
+
+constexpr std::uint16_t roles_of(Shape s) {
+  switch (s) {
+    case Shape::None: return 0;
+    case Shape::D: return kDefD;
+    case Shape::DA: return kDefD | kUseA;
+    case Shape::DAB: return kDefD | kUseA | kUseB;
+    case Shape::A: return kUseA;
+    case Shape::Ret: return kUseA | kVoid;
+    case Shape::AB: return kUseA | kUseB;
+    case Shape::SA: return kUseA | kUseD;
+    case Shape::S: return kUseD;
+    case Shape::SAB: return kUseA | kUseB | kUseD;
+    case Shape::SABKeep: return kUseA | kUseB | kUseD | kKeepD;
+    case Shape::DABC: return kDefD | kUseA | kUseB | kUseLo;
+    case Shape::ABCV: return kUseA | kUseB | kUseLo | kUseHi;
+    case Shape::Call: return kDefD | kUsePool | kVoid;
+  }
+  return 0;
+}
+
+/// One row of regir_ops.def.
+struct OpInfo {
+  const char* name;
+  Imm imm;
+  Control control;
+  Value value;
+  Shape shape;
+  std::uint16_t roles;
+};
+
+inline constexpr OpInfo kOpInfo[] = {
+#define ROP(op, name, imm, control, value, shape)                 \
+  {name, Imm::imm, Control::control, Value::value, Shape::shape, \
+   roles_of(Shape::shape)},
+#include "vm/regir_ops.def"
+#undef ROP
+};
+static_assert(sizeof kOpInfo / sizeof kOpInfo[0] ==
+              static_cast<std::size_t>(ROp::COUNT_));
+
+constexpr const OpInfo& info(ROp op) {
+  return kOpInfo[static_cast<std::size_t>(op)];
+}
 
 /// One register instruction. `flags` bit 0 = pinned (exempt from
 /// optimization); `il_pc` maps back to the stack IL for exception ranges and

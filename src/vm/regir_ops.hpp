@@ -1,243 +1,95 @@
 // Structural helpers over the RegIR instruction set, shared by the register
-// compiler (regcompile.cpp) and the vector lowering pass (veccompile.cpp).
-// These encode per-opcode facts — branchness, purity, operand roles — that
-// every pass needs and that must agree across translation units.
+// compiler (regcompile.cpp), the vector lowering pass (veccompile.cpp) and
+// the archive validator (serialize.cpp). Each is derived from the op table
+// in regir_ops.def, so the passes cannot disagree about an op.
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <type_traits>
 
 #include "vm/regir.hpp"
 
 namespace hpcnet::vm::regir {
 
-// Rank-2 operand packing (20 bits per register id).
-inline constexpr std::int64_t kRegFieldBits = 20;
-inline constexpr std::int64_t kRegFieldMask = (1 << kRegFieldBits) - 1;
-
 inline bool is_branch(ROp op) {
-  switch (op) {
-    case ROp::JMP:
-    case ROp::JMPB:
-    case ROp::JZ_I4:
-    case ROp::JNZ_I4:
-    case ROp::JZ_I8:
-    case ROp::JNZ_I8:
-    case ROp::JZ_REF:
-    case ROp::JNZ_REF:
-    case ROp::JEQ_I4:
-    case ROp::JNE_I4:
-    case ROp::JLT_I4:
-    case ROp::JLE_I4:
-    case ROp::JGT_I4:
-    case ROp::JGE_I4:
-    case ROp::JEQ_I8:
-    case ROp::JNE_I8:
-    case ROp::JLT_I8:
-    case ROp::JLE_I8:
-    case ROp::JGT_I8:
-    case ROp::JGE_I8:
-    case ROp::JEQ_R4:
-    case ROp::JNE_R4:
-    case ROp::JLT_R4:
-    case ROp::JLE_R4:
-    case ROp::JGT_R4:
-    case ROp::JGE_R4:
-    case ROp::JEQ_R8:
-    case ROp::JNE_R8:
-    case ROp::JLT_R8:
-    case ROp::JLE_R8:
-    case ROp::JGT_R8:
-    case ROp::JGE_R8:
-    case ROp::JEQ_REF:
-    case ROp::JNE_REF:
-    case ROp::JEQI_I4:
-    case ROp::JNEI_I4:
-    case ROp::JLTI_I4:
-    case ROp::JLEI_I4:
-    case ROp::JGTI_I4:
-    case ROp::JGEI_I4:
-    case ROp::JLT_LEN:
-      return true;
-    default:
-      return false;
-  }
+  const Control c = info(op).control;
+  return c == Control::Cond || c == Control::Jump;
 }
 
 inline bool is_block_end(ROp op) {
-  return is_branch(op) || op == ROp::RET_R || op == ROp::THROW_R ||
-         op == ROp::LEAVE_R || op == ROp::ENDFINALLY_R;
+  return info(op).control != Control::Fall;
+}
+
+/// True when execution may continue at the next instruction.
+inline bool falls_through(ROp op) {
+  const Control c = info(op).control;
+  return c == Control::Fall || c == Control::Cond;
 }
 
 /// Ops with no side effects whose result may be dead-code-eliminated.
-inline bool is_pure(ROp op) {
-  switch (op) {
-    case ROp::MOV:
-    case ROp::LDI:
-    case ROp::ADD_I4: case ROp::SUB_I4: case ROp::MUL_I4: case ROp::NEG_I4:
-    case ROp::ADD_I8: case ROp::SUB_I8: case ROp::MUL_I8: case ROp::NEG_I8:
-    case ROp::ADD_R4: case ROp::SUB_R4: case ROp::MUL_R4: case ROp::DIV_R4:
-    case ROp::REM_R4: case ROp::NEG_R4:
-    case ROp::ADD_R8: case ROp::SUB_R8: case ROp::MUL_R8: case ROp::DIV_R8:
-    case ROp::REM_R8: case ROp::NEG_R8:
-    case ROp::ADDI_I4: case ROp::SUBI_I4: case ROp::MULI_I4:
-    case ROp::ADDI_I8: case ROp::SUBI_I8: case ROp::MULI_I8:
-    case ROp::ADDI_R8: case ROp::MULI_R8:
-    case ROp::AND_I4: case ROp::OR_I4: case ROp::XOR_I4: case ROp::NOT_I4:
-    case ROp::SHL_I4: case ROp::SHR_I4: case ROp::SHRU_I4:
-    case ROp::AND_I8: case ROp::OR_I8: case ROp::XOR_I8: case ROp::NOT_I8:
-    case ROp::SHL_I8: case ROp::SHR_I8: case ROp::SHRU_I8:
-    case ROp::SHLI_I4: case ROp::SHRI_I4: case ROp::SHLI_I8: case ROp::SHRI_I8:
-    case ROp::ANDI_I4:
-    case ROp::CEQ_I4: case ROp::CGT_I4: case ROp::CLT_I4:
-    case ROp::CEQ_I8: case ROp::CGT_I8: case ROp::CLT_I8:
-    case ROp::CEQ_R4: case ROp::CGT_R4: case ROp::CLT_R4:
-    case ROp::CEQ_R8: case ROp::CGT_R8: case ROp::CLT_R8:
-    case ROp::CEQ_REF:
-    case ROp::CV_I4_I8: case ROp::CV_I4_R4: case ROp::CV_I4_R8:
-    case ROp::CV_I8_I4: case ROp::CV_I8_R4: case ROp::CV_I8_R8:
-    case ROp::CV_R4_I4: case ROp::CV_R4_I8: case ROp::CV_R4_R8:
-    case ROp::CV_R8_I4: case ROp::CV_R8_I8: case ROp::CV_R8_R4:
-    case ROp::SEXT8: case ROp::ZEXT8: case ROp::SEXT16: case ROp::ZEXT16:
-      return true;
-    default:
-      return false;
+inline bool is_pure(ROp op) { return info(op).value == Value::Pure; }
+
+inline std::int32_t imm_lo_reg(const RInstr& in) {
+  return static_cast<std::int32_t>(in.imm.i64 & kRegFieldMask);
+}
+inline std::int32_t imm_hi_reg(const RInstr& in) {
+  return static_cast<std::int32_t>((in.imm.i64 >> kRegFieldBits) &
+                                   kRegFieldMask);
+}
+
+/// Calls `f` on every register `in` reads outside the args_pool window, in
+/// the order a, b, d (a store's source), imm-low, imm-high. Absent
+/// (negative) fields are skipped. With a non-const `in`, `f` receives each
+/// register by reference and may rewrite it; registers packed into `imm`
+/// are written back.
+template <typename Instr, typename F>
+void for_each_field_use(Instr& in, F&& f) {
+  const std::uint16_t roles = info(in.op).roles;
+  auto visit = [&](auto& r) {
+    if (r >= 0) f(r);
+  };
+  if (roles & kUseA) visit(in.a);
+  if (roles & kUseB) visit(in.b);
+  if (roles & kUseD) visit(in.d);
+  if (roles & (kUseLo | kUseHi)) {
+    std::int32_t lo = imm_lo_reg(in);
+    std::int32_t hi = imm_hi_reg(in);
+    if (roles & kUseLo) visit(lo);
+    if (roles & kUseHi) visit(hi);
+    if constexpr (!std::is_const_v<Instr>) {
+      constexpr std::int64_t kBoth =
+          kRegFieldMask | (kRegFieldMask << kRegFieldBits);
+      in.imm.i64 = (in.imm.i64 & ~kBoth) | lo |
+                   (static_cast<std::int64_t>(hi) << kRegFieldBits);
+    }
   }
 }
 
-/// Operand roles for copy propagation / liveness.
+/// for_each_field_use, then every register of the args_pool window.
+template <typename Instr, typename Pool, typename F>
+void for_each_use(Instr& in, Pool& pool, F&& f) {
+  for_each_field_use(in, f);
+  if (info(in.op).roles & kUsePool) {
+    const auto argc = static_cast<std::int32_t>(in.imm.i64);
+    for (std::int32_t k = 0; k < argc; ++k) {
+      auto& r = pool[static_cast<std::size_t>(in.b + k)];
+      if (r >= 0) f(r);
+    }
+  }
+}
+
+/// The defined register and the registers read outside the args_pool
+/// window.
 struct Operands {
   std::int32_t uses[4];
   int nuses = 0;
   std::int32_t def = -1;  // register defined, -1 if none
 };
 
-inline Operands operands_of(const RInstr& in,
-                            const std::vector<std::int32_t>& pool) {
+inline Operands operands_of(const RInstr& in) {
   Operands o{};
-  auto use = [&](std::int32_t r) {
-    if (r >= 0) o.uses[o.nuses++] = r;
-  };
-  switch (in.op) {
-    case ROp::NOP_R:
-    case ROp::SAFEPOINT:
-    case ROp::ENDFINALLY_R:
-    case ROp::LEAVE_R:
-    case ROp::JMP:
-    case ROp::JMPB:
-      break;
-    case ROp::VECLOOP:
-      // Operands live in the RCode::vec_loops side table (in.a indexes it);
-      // the instruction neither defines nor uses allocator-visible regs here.
-      break;
-    case ROp::MOV:
-    case ROp::MEMLD:
-    case ROp::MEMST:
-      o.def = in.d;
-      use(in.a);
-      break;
-    case ROp::LDI:
-      o.def = in.d;
-      break;
-    case ROp::LDSTR_R:
-    case ROp::NEWOBJ_R:
-      o.def = in.d;
-      break;
-    case ROp::RET_R:
-    case ROp::THROW_R:
-      use(in.a);
-      break;
-    case ROp::JZ_I4:
-    case ROp::JNZ_I4:
-    case ROp::JZ_I8:
-    case ROp::JNZ_I8:
-    case ROp::JZ_REF:
-    case ROp::JNZ_REF:
-      use(in.a);
-      break;
-    case ROp::JEQI_I4:
-    case ROp::JNEI_I4:
-    case ROp::JLTI_I4:
-    case ROp::JLEI_I4:
-    case ROp::JGTI_I4:
-    case ROp::JGEI_I4:
-      use(in.a);
-      break;
-    case ROp::JEQ_I4: case ROp::JNE_I4: case ROp::JLT_I4:
-    case ROp::JLE_I4: case ROp::JGT_I4: case ROp::JGE_I4:
-    case ROp::JEQ_I8: case ROp::JNE_I8: case ROp::JLT_I8:
-    case ROp::JLE_I8: case ROp::JGT_I8: case ROp::JGE_I8:
-    case ROp::JEQ_R4: case ROp::JNE_R4: case ROp::JLT_R4:
-    case ROp::JLE_R4: case ROp::JGT_R4: case ROp::JGE_R4:
-    case ROp::JEQ_R8: case ROp::JNE_R8: case ROp::JLT_R8:
-    case ROp::JLE_R8: case ROp::JGT_R8: case ROp::JGE_R8:
-    case ROp::JEQ_REF: case ROp::JNE_REF:
-      use(in.a);
-      use(in.b);
-      break;
-    case ROp::LDSFLD_R:
-      o.def = in.d;  // a/b are class/field ids, not registers
-      break;
-    case ROp::CHK_BOUNDS:
-    case ROp::JLT_LEN:
-      use(in.a);
-      use(in.b);
-      break;
-    case ROp::CALL_R:
-    case ROp::CALLINTR_R: {
-      o.def = in.d;
-      // Call arguments come from the pool; handled separately by the passes
-      // (they rewrite/mark pool entries directly).
-      (void)pool;
-      break;
-    }
-    case ROp::STFLD_R:
-      use(in.a);
-      use(in.d);  // d = source
-      break;
-    case ROp::CARDMARK:
-      use(in.a);  // object carded; no def
-      break;
-    case ROp::STSFLD_R:
-      use(in.d);
-      break;
-    case ROp::STELEM_I4: case ROp::STELEM_I8: case ROp::STELEM_R4:
-    case ROp::STELEM_R8: case ROp::STELEM_REF:
-    case ROp::STELEMU_I4: case ROp::STELEMU_I8: case ROp::STELEMU_R4:
-    case ROp::STELEMU_R8: case ROp::STELEMU_REF:
-      use(in.a);
-      use(in.b);
-      use(in.d);  // d = source
-      break;
-    case ROp::LDEL2_I4: case ROp::LDEL2_I8: case ROp::LDEL2_R4:
-    case ROp::LDEL2_R8: case ROp::LDEL2_REF: case ROp::LDEL2_SLOW:
-      o.def = in.d;
-      use(in.a);
-      use(in.b);
-      use(static_cast<std::int32_t>(in.imm.i64 & kRegFieldMask));
-      break;
-    case ROp::STEL2_I4: case ROp::STEL2_I8: case ROp::STEL2_R4:
-    case ROp::STEL2_R8: case ROp::STEL2_REF: case ROp::STEL2_SLOW:
-      use(in.a);
-      use(in.b);
-      use(static_cast<std::int32_t>(in.imm.i64 & kRegFieldMask));
-      use(static_cast<std::int32_t>((in.imm.i64 >> kRegFieldBits) &
-                                    kRegFieldMask));
-      break;
-    default:
-      // Generic three-address shape: d <- op(a, b).
-      o.def = in.d;
-      use(in.a);
-      if (in.b >= 0 && in.op != ROp::NEWARR_R && in.op != ROp::LDFLD_R &&
-          in.op != ROp::BOX_R && in.op != ROp::UNBOX_R &&
-          in.op != ROp::NEWMAT_R) {
-        use(in.b);
-      }
-      if (in.op == ROp::NEWMAT_R) {
-        use(in.b);  // cols register (excluded above as a non-register field)
-      }
-      break;
-  }
+  if (info(in.op).roles & kDefD) o.def = in.d;
+  for_each_field_use(in, [&](std::int32_t r) { o.uses[o.nuses++] = r; });
   return o;
 }
 

@@ -560,11 +560,28 @@ void validate_rcode(const regir::RCode& rc, const Module& module) {
         (in.d < 0 || static_cast<std::size_t>(in.d) >= ncode)) {
       bad("branch target out of range");
     }
-    // Register operands, via the same role table every pass uses.
-    const regir::Operands o = regir::operands_of(in, rc.args_pool);
-    if (!opt_reg_ok(o.def)) bad("defined register out of range");
-    for (int i = 0; i < o.nuses; ++i) {
-      if (!reg_ok(o.uses[i])) bad("used register out of range");
+    // Register operands: every role the op table gives the op, the same
+    // table every pass reads.
+    const std::uint16_t roles = regir::info(in.op).roles;
+    const auto role_ok = [&](std::int32_t reg) {
+      return reg_ok(reg) || ((roles & regir::kVoid) != 0 && reg == -1);
+    };
+    if ((roles & (regir::kDefD | regir::kUseD)) && !role_ok(in.d)) {
+      bad("register d out of range");
+    }
+    if ((roles & regir::kUseA) && !role_ok(in.a)) bad("register a out of range");
+    if ((roles & regir::kUseB) && !role_ok(in.b)) bad("register b out of range");
+    if (((roles & regir::kUseLo) && !reg_ok(regir::imm_lo_reg(in))) ||
+        ((roles & regir::kUseHi) && !reg_ok(regir::imm_hi_reg(in)))) {
+      bad("immediate register out of range");
+    }
+    if (roles & regir::kUsePool) {
+      const std::int64_t argc = in.imm.i64;
+      if (argc < 0 || in.b < 0 ||
+          static_cast<std::size_t>(in.b) + static_cast<std::size_t>(argc) >
+              rc.args_pool.size()) {
+        bad("call argument window out of range");
+      }
     }
     switch (in.op) {
       case regir::ROp::LDSTR_R:
@@ -613,32 +630,23 @@ void validate_rcode(const regir::RCode& rc, const Module& module) {
           bad("bad matrix element type");
         }
         break;
-      case regir::ROp::CALL_R: {
+      case regir::ROp::CALL_R:
         if (in.a < 0 ||
             static_cast<std::size_t>(in.a) >= module.method_count()) {
           bad("call target out of range");
         }
-        const std::int64_t argc = in.imm.i64;
-        if (argc < 0 ||
-            argc != static_cast<std::int64_t>(
-                        module.method(in.a).num_args())) {
+        if (in.imm.i64 != static_cast<std::int64_t>(
+                              module.method(in.a).num_args())) {
           bad("call arity mismatch");
         }
-        if (in.b < 0 || static_cast<std::size_t>(in.b) + argc >
-                            rc.args_pool.size()) {
-          bad("call argument window out of range");
-        }
         break;
-      }
-      case regir::ROp::CALLINTR_R: {
+      case regir::ROp::CALLINTR_R:
         if (in.a < 0 || in.a >= I_COUNT_) bad("intrinsic id out of range");
-        const std::int64_t argc = in.imm.i64;
-        if (argc < 0 || in.b < 0 ||
-            static_cast<std::size_t>(in.b) + argc > rc.args_pool.size()) {
-          bad("intrinsic argument window out of range");
+        if (in.imm.i64 != static_cast<std::int64_t>(
+                              intrinsic(in.a).sig.params.size())) {
+          bad("intrinsic arity mismatch");
         }
         break;
-      }
       case regir::ROp::MATH1_R8:
         if (regir::math1_fn(static_cast<std::int32_t>(in.imm.i64)) ==
             nullptr) {

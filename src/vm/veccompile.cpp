@@ -136,35 +136,20 @@ class Lowerer {
       ++*count;
       *entry_jmp = pos;
       *entry_target = t;
-      *entry_uncond = in.op == ROp::JMP || in.op == ROp::JMPB;
+      *entry_uncond = info(in.op).control == Control::Jump;
     }
     *fall_in = true;
     std::int32_t p = body - 1;
     while (p >= 0 && code_[static_cast<std::size_t>(p)].op == ROp::NOP_R) --p;
-    if (p >= 0) {
-      const ROp op = code_[static_cast<std::size_t>(p)].op;
-      if (op == ROp::JMP || op == ROp::JMPB || op == ROp::RET_R ||
-          op == ROp::THROW_R || op == ROp::LEAVE_R ||
-          op == ROp::ENDFINALLY_R) {
-        *fall_in = false;
-      }
+    if (p >= 0 && !falls_through(code_[static_cast<std::size_t>(p)].op)) {
+      *fall_in = false;
     }
   }
 
   bool uses_reg(const RInstr& in, std::int32_t r) const {
-    const Operands ops = operands_of(in, rc_.args_pool);
-    for (int k = 0; k < ops.nuses; ++k) {
-      if (ops.uses[k] == r) return true;
-    }
-    if (in.op == ROp::CALL_R || in.op == ROp::CALLINTR_R) {
-      const auto argc = static_cast<std::int32_t>(in.imm.i64);
-      for (std::int32_t k = 0; k < argc; ++k) {
-        if (rc_.args_pool[static_cast<std::size_t>(in.b + k)] == r) {
-          return true;
-        }
-      }
-    }
-    return false;
+    bool used = false;
+    for_each_use(in, rc_.args_pool, [&](std::int32_t u) { used |= u == r; });
+    return used;
   }
 
   // ---- expression pool -------------------------------------------------
@@ -285,8 +270,7 @@ class Lowerer {
     std::vector<std::int32_t> region_defs(static_cast<std::size_t>(nregs), 0);
     std::vector<std::int32_t> first_def(static_cast<std::size_t>(nregs), -1);
     for (std::int32_t p = body; p <= j; ++p) {
-      const Operands ops = operands_of(code_[static_cast<std::size_t>(p)],
-                                       rc_.args_pool);
+      const Operands ops = operands_of(code_[static_cast<std::size_t>(p)]);
       if (ops.def >= 0) {
         ++region_defs[static_cast<std::size_t>(ops.def)];
         if (first_def[static_cast<std::size_t>(ops.def)] < 0) {
@@ -546,7 +530,7 @@ class Lowerer {
     for (const std::int32_t r : scratch_defs) {
       for (std::size_t p = static_cast<std::size_t>(j) + 1; p < code_.size();
            ++p) {
-        if (operands_of(code_[p], rc_.args_pool).def == r) break;
+        if (operands_of(code_[p]).def == r) break;
         if (uses_reg(code_[p], r)) return false;
       }
     }

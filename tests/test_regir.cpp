@@ -47,15 +47,33 @@ std::int32_t build_div_loop(Module& mod) {
 }
 
 TEST(RegIr, CopyPropagationShrinksCode) {
+  // Copy propagation runs on every optimizing profile; its listing has
+  // fewer instructions than the translation it starts from.
   VirtualMachine vm;
   const auto m = build_div_loop(vm.module());
   verify(vm.module(), m);
-  EngineFlags with = profiles::clr11().flags;
-  EngineFlags without = with;
-  without.copy_propagation = false;
-  const RCode a = regir::compile(vm.module(), vm.module().method(m), with);
-  const RCode b = regir::compile(vm.module(), vm.module().method(m), without);
-  EXPECT_LT(a.code.size(), b.code.size());
+  std::map<std::string, std::size_t> lines;
+  regir::compile_traced(
+      vm.module(), vm.module().method(m), profiles::clr11().flags,
+      [&](const char* pass, const std::string& listing) {
+        lines[pass] = static_cast<std::size_t>(
+            std::count(listing.begin(), listing.end(), '\n'));
+      });
+  ASSERT_TRUE(lines.count("translate") && lines.count("copyprop+dce"));
+  EXPECT_LT(lines["copyprop+dce"], lines["translate"]);
+}
+
+TEST(RegIr, EveryOpHasItsOwnMnemonic) {
+  std::map<std::string, ROp> seen;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(ROp::COUNT_); ++i) {
+    const ROp op = static_cast<ROp>(i);
+    const std::string name = regir::info(op).name;
+    EXPECT_FALSE(name.empty() || name == "?") << "op " << i;
+    const auto [it, fresh] = seen.emplace(name, op);
+    EXPECT_TRUE(fresh) << "ops " << static_cast<int>(it->second) << " and "
+                       << i << " share the mnemonic " << name;
+  }
+  EXPECT_EQ(seen.size(), static_cast<std::size_t>(ROp::COUNT_));
 }
 
 TEST(RegIr, Ibm131FusesImmediateDivide) {
@@ -285,13 +303,12 @@ TEST(RegIr, RecursiveInlineIsBoundedByDepth) {
   const auto m = b.finish();
   ASSERT_EQ(m, fib_id);
   verify(mod, m);
-  const EngineFlags f = profiles::clr11().flags;  // inline_depth = 2
-  const RCode rc = regir::compile(mod, mod.method(m), f);
-  // One level unrolled per round: calls remain (the recursion cannot
-  // disappear), but the body grew past the original and stays bounded.
+  const RCode rc = regir::compile(mod, mod.method(m), profiles::clr11().flags);
+  // One level unrolled per round (kInlineDepth rounds): calls remain (the
+  // recursion cannot disappear), but the body grew past the original and
+  // stays bounded.
   EXPECT_GE(count_op(rc, ROp::CALL_R), 2u);
-  EXPECT_LE(rc.code.size(),
-            static_cast<std::size_t>(f.inline_total_il) * 4u);
+  EXPECT_LE(rc.code.size(), static_cast<std::size_t>(regir::kInlineTotalIl) * 4u);
 }
 
 TEST(RegIr, CseEliminatesDuplicateSubexpressions) {
@@ -635,6 +652,54 @@ TEST(RegIr, BootSetIrMatchesPinnedDigests) {
   }
 }
 
+// The same boot set, pinned through the disassembler: one FNV-1a digest of
+// `regir::to_string` over every method per profile, so a change to any
+// mnemonic, immediate form or operand rendering shows up even when the IR
+// bits stay equal.
+TEST(RegIr, BootSetDisassemblyMatchesPinnedDigests) {
+  VirtualMachine vm;
+  cil::build_sm_fft(vm);
+  cil::build_sm_sor(vm);
+  cil::build_sm_montecarlo(vm);
+  cil::build_sm_sparse(vm);
+  cil::build_sm_lu(vm);
+  cil::build_jg_fib(vm);
+  cil::build_jg_sieve(vm);
+  cil::build_jg_hanoi(vm);
+  cil::build_jg_heapsort(vm);
+  cil::build_jg_crypt(vm);
+  Module& mod = vm.module();
+
+  const std::map<std::string, std::uint64_t> want = {
+      {"clr11", 0xdf5e5176497210c6ull},
+      {"clr11.vec", 0x2e12b03c932a501full},
+      {"ibm131", 0xfd89625fe033842cull},
+      {"ibm131.vec", 0xab90894bb2a16de1ull},
+      {"sun14", 0x467270f93a6bd0f6ull},
+      {"sun14.vec", 0x467270f93a6bd0f6ull},
+      {"bea81", 0x588ec97b8bf952e7ull},
+      {"bea81.vec", 0x0755c1f59ca56f7eull},
+      {"jsharp11", 0x3d13bc33b045f916ull},
+      {"jsharp11.vec", 0x3d13bc33b045f916ull},
+  };
+  for (const auto& [name, digest] : want) {
+    const EngineFlags flags = profiles::by_name(name).flags;
+    std::uint64_t h = 14695981039346656037ull;
+    for (std::size_t i = 0; i < mod.method_count(); ++i) {
+      const MethodDef& m = mod.method(static_cast<std::int32_t>(i));
+      if (!m.verified) continue;
+      for (const char c : regir::to_string(regir::compile(mod, m, flags))) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+      }
+    }
+    char hex[32];
+    std::snprintf(hex, sizeof hex, "0x%016llxull",
+                  static_cast<unsigned long long>(h));
+    EXPECT_EQ(h, digest) << name << ": disassembly digest " << hex;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Behavioural equivalence: every optimizing flag combination must compute
 // exactly what the interpreter computes, over a program mixing arithmetic,
@@ -654,9 +719,7 @@ std::vector<FlagCase> flag_matrix() {
     cases.push_back({name, f});
   };
   add("all_on", [](EngineFlags&) {});
-  add("no_copyprop", [](EngineFlags& f) { f.copy_propagation = false; });
   add("no_fusion", [](EngineFlags& f) { f.fuse_cmp_branch = false; });
-  add("no_imm", [](EngineFlags& f) { f.imm_operands = false; });
   add("no_bce", [](EngineFlags& f) { f.bounds_check_elim = false; });
   add("divfuse", [](EngineFlags& f) {
     f.div_imm_fusion = true;
@@ -665,9 +728,7 @@ std::vector<FlagCase> flag_matrix() {
   add("limit1", [](EngineFlags& f) { f.enregister_limit = 1; });
   add("limit0_slow_all", [](EngineFlags& f) {
     f.enregister_limit = 0;
-    f.copy_propagation = false;
     f.fuse_cmp_branch = false;
-    f.imm_operands = false;
     f.bounds_check_elim = false;
     f.fast_multidim = false;
     f.fast_math = false;
@@ -676,16 +737,6 @@ std::vector<FlagCase> flag_matrix() {
   });
   add("no_inline", [](EngineFlags& f) { f.inline_calls = false; });
   add("no_cse", [](EngineFlags& f) { f.cse = false; });
-  add("inline_deep", [](EngineFlags& f) {
-    f.inline_calls = true;
-    f.inline_depth = 4;
-    f.inline_max_il = 64;
-    f.inline_total_il = 512;
-  });
-  add("cse_no_copyprop", [](EngineFlags& f) {
-    f.copy_propagation = false;
-    f.cse = true;
-  });
   add("vec", [](EngineFlags& f) { f.vectorize = true; });
   add("vec_no_cse", [](EngineFlags& f) {
     f.vectorize = true;

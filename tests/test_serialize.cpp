@@ -5,8 +5,10 @@
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 
+#include "vm/intrinsics.hpp"
 #include "vm/regir.hpp"
 #include "vm/serialize.hpp"
 #include "vm_test_util.hpp"
@@ -370,6 +372,144 @@ TEST_F(ArchiveTest, RejectsOutOfRangeRegister) {
   auto mutated = std::make_shared<regir::RCode>(*warm->code);
   ASSERT_FALSE(mutated->code.empty());
   mutated->code[0].d = mutated->num_regs + 10;
+  CodeArchive::MethodRecord rec = *warm;
+  rec.code = mutated;
+  const auto bytes = wrap(rec);
+  EXPECT_THROW(deserialize_archives(vm.module(), bytes.data(), bytes.size()),
+               SerializeError);
+}
+
+// Every operand shape of the op table, through the archive validator: one
+// well-formed instruction of that shape is accepted, and moving any one of
+// its register roles (d, a, b, the rank-2 registers packed into imm, the
+// args_pool window and its entries) out of range makes the archive refuse.
+TEST_F(ArchiveTest, RejectsEveryOutOfRangeRegisterRole) {
+  using regir::RInstr;
+  using regir::ROp;
+  using regir::Shape;
+  const auto a = parse();
+  const CodeArchive::MethodRecord* warm = nullptr;
+  for (const auto& rec : a->records()) {
+    if (rec.method_id == method && rec.code != nullptr) warm = &rec;
+  }
+  ASSERT_NE(warm, nullptr);
+  const std::int32_t statics = vm.module().define_class(
+      "arch.Statics", {}, -1, {{"s", ValType::I32}});
+  const std::int32_t nregs = warm->code->num_regs;
+  const std::int32_t far = nregs + 5;
+
+  struct Case {
+    Shape shape;
+    ROp op;
+    std::int32_t d, a, b;
+    std::int64_t imm;
+  };
+  const std::int64_t mine = static_cast<std::int64_t>(
+      vm.module().method(method).num_args());
+  const Case cases[] = {
+      {Shape::None, ROp::NOP_R, -1, -1, -1, 0},
+      {Shape::D, ROp::LDI, 0, -1, -1, 7},
+      {Shape::DA, ROp::MOV, 0, 0, -1, 0},
+      {Shape::DAB, ROp::ADD_I4, 0, 0, 0, 0},
+      {Shape::A, ROp::CARDMARK, -1, 0, -1, 0},
+      {Shape::Ret, ROp::RET_R, -1, 0, -1, 0},
+      {Shape::AB, ROp::CHK_BOUNDS, -1, 0, 0, 0},
+      {Shape::SA, ROp::STFLD_R, 0, 0, 0, 0},
+      {Shape::S, ROp::STSFLD_R, 0, statics, 0, 0},
+      {Shape::SAB, ROp::STELEM_I4, 0, 0, 0, 0},
+      {Shape::SABKeep, ROp::STELEMU_I4, 0, 0, 0, 0},
+      {Shape::DABC, ROp::LDEL2_I4, 0, 0, 0, 0},
+      {Shape::ABCV, ROp::STEL2_I4, -1, 0, 0, 0},
+      {Shape::Call, ROp::CALL_R, 0, method, 0, mine},
+  };
+  std::size_t shapes = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(regir::info(c.op).name);
+    ASSERT_EQ(regir::info(c.op).shape, c.shape);
+    EXPECT_EQ(static_cast<std::size_t>(c.shape), shapes++);
+    auto mutated_with = [&](auto mutate) {
+      auto rc = std::make_shared<regir::RCode>(*warm->code);
+      rc->args_pool.assign(static_cast<std::size_t>(mine), 0);
+      RInstr& in = rc->code[0];
+      in.op = c.op;
+      in.flags = 0;
+      in.d = c.d;
+      in.a = c.a;
+      in.b = c.b;
+      in.imm.i64 = c.imm;
+      mutate(*rc, in);
+      CodeArchive::MethodRecord rec = *warm;
+      rec.code = rc;
+      return wrap(rec);
+    };
+    auto loads = [&](const std::vector<char>& bytes) {
+      try {
+        (void)deserialize_archives(vm.module(), bytes.data(), bytes.size());
+        return true;
+      } catch (const SerializeError&) {
+        return false;
+      }
+    };
+    EXPECT_TRUE(loads(mutated_with([](regir::RCode&, RInstr&) {})));
+    const std::uint16_t roles = regir::info(c.op).roles;
+    std::vector<std::pair<const char*, std::function<void(regir::RCode&, RInstr&)>>>
+        breaks;
+    if (roles & (regir::kDefD | regir::kUseD)) {
+      breaks.push_back({"d", [&](regir::RCode&, RInstr& in) { in.d = far; }});
+      breaks.push_back({"d<0", [&](regir::RCode&, RInstr& in) { in.d = -2; }});
+    }
+    if (roles & regir::kUseA) {
+      breaks.push_back({"a", [&](regir::RCode&, RInstr& in) { in.a = far; }});
+      breaks.push_back({"a<0", [&](regir::RCode&, RInstr& in) { in.a = -2; }});
+    }
+    if (roles & regir::kUseB) {
+      breaks.push_back({"b", [&](regir::RCode&, RInstr& in) { in.b = far; }});
+      breaks.push_back({"b<0", [&](regir::RCode&, RInstr& in) { in.b = -2; }});
+    }
+    if (roles & regir::kUseLo) {
+      breaks.push_back({"imm-low", [&](regir::RCode&, RInstr& in) {
+                          in.imm.i64 |= far;
+                        }});
+    }
+    if (roles & regir::kUseHi) {
+      breaks.push_back({"imm-high", [&](regir::RCode&, RInstr& in) {
+                          in.imm.i64 |= std::int64_t{far} << regir::kRegFieldBits;
+                        }});
+    }
+    if (roles & regir::kUsePool) {
+      breaks.push_back({"pool window", [&](regir::RCode&, RInstr& in) {
+                          in.b = static_cast<std::int32_t>(mine);
+                        }});
+      breaks.push_back({"pool entry", [&](regir::RCode& rc, RInstr&) {
+                          rc.args_pool.assign(rc.args_pool.size(), far);
+                        }});
+    }
+    EXPECT_EQ(breaks.empty(), roles == 0);
+    for (const auto& [role, mutate] : breaks) {
+      EXPECT_FALSE(loads(mutated_with(mutate))) << "role " << role;
+    }
+  }
+  EXPECT_EQ(shapes, static_cast<std::size_t>(Shape::Call) + 1);
+}
+
+// An intrinsic call's argument count must match the intrinsic's signature:
+// the dispatch loop copies the arguments into a fixed kMaxIntrinsicArgs
+// buffer.
+TEST_F(ArchiveTest, RejectsIntrinsicArityMismatch) {
+  const auto a = parse();
+  const CodeArchive::MethodRecord* warm = nullptr;
+  for (const auto& rec : a->records()) {
+    if (rec.method_id == method && rec.code != nullptr) warm = &rec;
+  }
+  ASSERT_NE(warm, nullptr);
+  auto mutated = std::make_shared<regir::RCode>(*warm->code);
+  mutated->args_pool.assign(64, 0);
+  regir::RInstr& in = mutated->code[0];
+  in.op = regir::ROp::CALLINTR_R;
+  in.d = -1;
+  in.a = I_SQRT;
+  in.b = 0;
+  in.imm.i64 = 64;
   CodeArchive::MethodRecord rec = *warm;
   rec.code = mutated;
   const auto bytes = wrap(rec);

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "cil/jg.hpp"
 #include "cil/sm.hpp"
 #include "vm/engines.hpp"
 #include "vm/serialize.hpp"
@@ -257,6 +258,48 @@ TEST_F(SnapshotTest, AttachRecordsTelemetry) {
             st.restored);
   EXPECT_EQ(s.counter(telemetry::Counter::SnapshotMisses), st.missed);
   EXPECT_EQ(s.archive_load_ns.count(), 1u);
+}
+
+// The 'HPCA' bytes of one warmed clr11.vec VM over the SciMark/JGF boot set,
+// pinned as an FNV-1a digest: the op bytes and every operand field of the
+// compiled bodies are part of the archive format, so a change to the
+// register instruction set or to what the passes emit shows up here.
+TEST_F(SnapshotTest, WarmedBootSetArchiveBytesArePinned) {
+  VirtualMachine v;
+  const std::int32_t fft = cil::build_sm_fft(v);
+  const std::int32_t sor = cil::build_sm_sor(v);
+  const std::int32_t mc = cil::build_sm_montecarlo(v);
+  const std::int32_t sparse = cil::build_sm_sparse(v);
+  const std::int32_t lu = cil::build_sm_lu(v);
+  const std::int32_t fib = cil::build_jg_fib(v);
+  const std::int32_t sieve = cil::build_jg_sieve(v);
+  const std::int32_t hanoi = cil::build_jg_hanoi(v);
+  const std::int32_t heapsort = cil::build_jg_heapsort(v);
+  const std::int32_t crypt = cil::build_jg_crypt(v);
+  auto eng = make_engine(v, profiles::by_name("clr11.vec"));
+  VMContext& ctx = v.main_context();
+  auto i32 = [](std::int32_t x) { return Slot::from_i32(x); };
+  const std::pair<std::int32_t, std::vector<Slot>> calls[] = {
+      {fft, {i32(16), i32(1)}},  {sor, {i32(16), i32(2)}},
+      {mc, {i32(1000)}},         {sparse, {i32(20), i32(60), i32(2)}},
+      {lu, {i32(8)}},            {fib, {i32(10)}},
+      {sieve, {i32(100)}},       {hanoi, {i32(5)}},
+      {heapsort, {i32(50)}},     {crypt, {i32(64)}},
+  };
+  for (const auto& [m, args] : calls) eng->invoke(ctx, m, args);
+
+  const std::vector<char> bytes =
+      serialize_archives({capture_archive(v, "clr11.vec")});
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  char hex[32];
+  std::snprintf(hex, sizeof hex, "0x%016llxull",
+                static_cast<unsigned long long>(h));
+  EXPECT_EQ(h, 0x50b2b76ff7d37c01ull) << "archive digest " << hex << " over "
+                       << bytes.size() << " bytes";
 }
 
 }  // namespace

@@ -141,43 +141,6 @@ TEST(SciMarkRandom, FillMatchesSequentialCalls) {
 // ---------------------------------------------------------------------------
 // Statistics.
 
-TEST(Stats, SummaryBasics) {
-  const Summary s = summarize({1, 2, 3, 4, 5});
-  EXPECT_EQ(s.count, 5u);
-  EXPECT_DOUBLE_EQ(s.min, 1);
-  EXPECT_DOUBLE_EQ(s.max, 5);
-  EXPECT_DOUBLE_EQ(s.mean, 3);
-  EXPECT_DOUBLE_EQ(s.median, 3);
-  EXPECT_NEAR(s.stddev, std::sqrt(2.5), 1e-12);
-}
-
-TEST(Stats, EmptyAndSingle) {
-  EXPECT_EQ(summarize({}).count, 0u);
-  const Summary s = summarize({7});
-  EXPECT_DOUBLE_EQ(s.median, 7);
-  EXPECT_DOUBLE_EQ(s.stddev, 0);
-}
-
-TEST(Stats, MedianEvenCount) {
-  EXPECT_DOUBLE_EQ(summarize({1, 2, 3, 4}).median, 2.5);
-}
-
-TEST(Stats, OutlierScreenFindsSpike) {
-  std::vector<double> samples(100, 10.0);
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    samples[i] += (i % 7) * 0.01;  // small natural jitter
-  }
-  samples.push_back(1000.0);
-  const auto outliers = find_outliers(samples);
-  ASSERT_EQ(outliers.size(), 1u);
-  EXPECT_DOUBLE_EQ(outliers[0], 1000.0);
-}
-
-TEST(Stats, NoOutliersInUniformJitter) {
-  std::vector<double> s = {10.0, 10.1, 9.9, 10.05, 9.95, 10.02};
-  EXPECT_TRUE(find_outliers(s).empty());
-}
-
 TEST(Stats, GeometricMean) {
   EXPECT_DOUBLE_EQ(geometric_mean({1, 100}), 10);
   EXPECT_DOUBLE_EQ(geometric_mean({5}), 5);

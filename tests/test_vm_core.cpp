@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "vm/disasm.hpp"
 #include "vm_test_util.hpp"
 
 namespace hpcnet::test {
@@ -286,6 +287,107 @@ TEST(VmCore, ManyLocalsBeyondEnregistrationLimit) {
   b.ret();
   const auto m = b.finish();
   EXPECT_EQ(f.run_all(m).i32, kLocals * (kLocals + 1) / 2);
+}
+
+// Heap primitives, module class/string tables and the CIL/register-IR
+// disassemblers.
+
+TEST(Heap, ElemSizes) {
+  EXPECT_EQ(elem_size(ValType::I32), 4u);
+  EXPECT_EQ(elem_size(ValType::I64), 8u);
+  EXPECT_EQ(elem_size(ValType::F32), 4u);
+  EXPECT_EQ(elem_size(ValType::F64), 8u);
+  EXPECT_EQ(elem_size(ValType::Ref), sizeof(void*));
+}
+
+TEST(Heap, NegativeSizesRejected) {
+  VirtualMachine vm;
+  EXPECT_THROW(vm.heap().alloc_array(ValType::I32, -1), std::invalid_argument);
+  EXPECT_THROW(vm.heap().alloc_matrix2(ValType::F64, -1, 4),
+               std::invalid_argument);
+}
+
+TEST(Heap, FreshAllocationsAreZeroed) {
+  VirtualMachine vm;
+  ObjRef a = vm.heap().alloc_array(ValType::F64, 16);
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(a->f64_data()[i], 0.0);
+  ObjRef m = vm.heap().alloc_matrix2(ValType::I32, 3, 5);
+  for (int i = 0; i < 15; ++i) EXPECT_EQ(m->i32_data()[i], 0);
+}
+
+TEST(Heap, StringRoundTrip) {
+  VirtualMachine vm;
+  ObjRef s = vm.heap().alloc_string("managed string");
+  EXPECT_EQ(string_value(s), "managed string");
+  EXPECT_EQ(s->length, 14);
+  EXPECT_EQ(string_value(nullptr), "");
+}
+
+TEST(Module, SubclassChains) {
+  VirtualMachine vm;
+  Module& m = vm.module();
+  EXPECT_TRUE(m.is_subclass(m.divide_by_zero_class(), m.arithmetic_class()));
+  EXPECT_TRUE(m.is_subclass(m.divide_by_zero_class(), m.exception_class()));
+  EXPECT_FALSE(m.is_subclass(m.exception_class(), m.divide_by_zero_class()));
+  EXPECT_TRUE(m.is_subclass(m.exception_class(), m.exception_class()));
+}
+
+TEST(Module, DerivedClassInheritsFieldLayout) {
+  VirtualMachine vm;
+  Module& m = vm.module();
+  const auto base = m.define_class("d.Base", {{"a", ValType::I32}});
+  const auto derived =
+      m.define_class("d.Derived", {{"b", ValType::F64}}, base);
+  EXPECT_EQ(m.klass(derived).field_index("a"), 0);
+  EXPECT_EQ(m.klass(derived).field_index("b"), 1);
+}
+
+TEST(Module, StringInterning) {
+  VirtualMachine vm;
+  const auto a = vm.module().intern_string("hello");
+  const auto b = vm.module().intern_string("hello");
+  const auto c = vm.module().intern_string("world");
+  EXPECT_EQ(a, b);
+  EXPECT_NE(a, c);
+  EXPECT_EQ(vm.module().string_at(a), "hello");
+}
+
+TEST(Disasm, CilListingShowsStructure) {
+  VirtualMachine vm;
+  ILBuilder b(vm.module(), "dis_demo", {{ValType::I32}, ValType::I32});
+  auto t0 = b.new_label();
+  auto t1 = b.new_label();
+  auto h = b.new_label();
+  auto out = b.new_label();
+  b.bind(t0);
+  b.ldarg(0).ldc_i4(2).div().pop();
+  b.leave(out);
+  b.bind(t1);
+  b.add_catch(t0, t1, h, vm.module().divide_by_zero_class());
+  b.bind(h);
+  b.pop().leave(out);
+  b.bind(out);
+  b.ldc_i4(0).ret();
+  const auto m = b.finish();
+  verify(vm.module(), m);
+  const std::string text = disassemble_cil(vm.module(), m);
+  EXPECT_NE(text.find("dis_demo"), std::string::npos);
+  EXPECT_NE(text.find("div"), std::string::npos);
+  EXPECT_NE(text.find(".catch"), std::string::npos);
+  EXPECT_NE(text.find("DivideByZero"), std::string::npos);
+}
+
+TEST(Disasm, CodeQualityCountsShrinkWithOptimization) {
+  VirtualMachine vm;
+  ILBuilder b(vm.module(), "cq_demo", {{ValType::I32}, ValType::I32});
+  const auto x = b.add_local(ValType::I32);
+  b.ldarg(0).ldc_i4(3).mul().stloc(x);
+  b.ldloc(x).ldc_i4(1).add().ret();
+  const auto m = b.finish();
+  verify(vm.module(), m);
+  const auto q = code_quality(vm, m, profiles::clr11());
+  EXPECT_EQ(q.cil_instructions, vm.module().method(m).code.size());
+  EXPECT_LT(q.optimized_instructions, q.cil_instructions);
 }
 
 }  // namespace
