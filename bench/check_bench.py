@@ -11,11 +11,18 @@ the line `bench_loop` prints:
 
     ./build/bench/bench_loop --benchmark_filter='NOTHING^' > bench_loop_fuel.txt
     python3 bench/check_bench.py fuel-pulse --file bench_loop_fuel.txt
+
+`dispatch-replicated` reads no JSON: it disassembles the optimizing tier's
+dispatch loop in a built binary (default: <dir>/bench/bench_scimark).
 """
 import argparse
 import json
 import os
+import re
+import subprocess
 import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class Table:
@@ -205,6 +212,36 @@ def gc_pause_split(d, _args):
     print(f"major:1t p50={major:.2f}ms; minors stay well below it")
 
 
+def dispatch_replicated(d, args):
+    # Threaded register dispatch (DESIGN.md §7) pays only while every op
+    # handler keeps its own indirect jump. A compiler that merges them into
+    # one shared jump gives back most of the gain (EXPERIMENTS.md) with
+    # every test still passing: count the jumps in
+    # OptimizingBackend::run and require at least one per regir_ops.def row.
+    binary = args.binary or os.path.join(d, 'bench', 'bench_scimark')
+    asm = subprocess.run(['objdump', '-d', '--no-show-raw-insn', '-C', binary],
+                         check=True, capture_output=True, text=True).stdout
+    header = re.compile(r'^[0-9a-f]+ <hpcnet::vm::\(anonymous namespace\)::'
+                        r'OptimizingBackend::run\(.*\)>:$')
+    body = None
+    for line in asm.splitlines():
+        if body is None:
+            if header.match(line):
+                body = []
+        elif not line.strip():
+            break
+        else:
+            body.append(line)
+    assert body is not None, f"OptimizingBackend::run not found in {binary}"
+    jumps = sum(1 for l in body if re.search(r'\bjmp\s+\*', l))
+    with open(os.path.join(ROOT, 'src', 'vm', 'regir_ops.def')) as f:
+        handlers = sum(1 for l in f if l.startswith('ROP('))
+    print(f"OptimizingBackend::run: {jumps} indirect jumps, {handlers} ops")
+    assert jumps >= handlers, \
+        f"dispatch merged: {jumps} indirect jumps for {handlers} op handlers"
+    print("every op handler keeps its own dispatch jump")
+
+
 GATES = {
     'engine-ordering': engine_ordering,
     'vector-tier': vector_tier,
@@ -215,6 +252,7 @@ GATES = {
     'tcp-loopback': tcp_loopback,
     'fuel-pulse': fuel_pulse,
     'gc-pause-split': gc_pause_split,
+    'dispatch-replicated': dispatch_replicated,
 }
 
 
@@ -224,6 +262,9 @@ def main():
                     help='directory holding BENCH_*.json (default: build)')
     ap.add_argument('--file', default='bench_loop_fuel.txt',
                     help='bench_loop output (fuel-pulse only)')
+    ap.add_argument('--binary',
+                    help='binary to disassemble (dispatch-replicated only; '
+                         'default: <dir>/bench/bench_scimark)')
     ap.add_argument('gate', choices=sorted(GATES))
     args = ap.parse_args()
     try:

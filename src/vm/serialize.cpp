@@ -669,9 +669,30 @@ void validate_rcode(const regir::RCode& rc, const Module& module) {
         if (in.a < 0 || static_cast<std::size_t>(in.a) > il_size) {
           bad("leave target out of range");
         }
+        if (static_cast<std::size_t>(
+                rc.il2rpc[static_cast<std::size_t>(in.a)]) >= ncode) {
+          bad("leave target maps past the code");
+        }
         break;
       default:
         break;
+    }
+  }
+  // The dispatch loop jumps through a handler table with no range check, so
+  // execution must never step past the last instruction: the body ends in a
+  // jump or an exit, and every place the unwinder resumes at (leave targets,
+  // above, and handler starts) maps inside the code.
+  const regir::Control last = regir::info(rc.code.back().op).control;
+  if (last == regir::Control::Fall || last == regir::Control::Cond) {
+    bad("compiled body falls off its end");
+  }
+  for (const ExHandler& h : rc.body->handlers) {
+    if (h.handler < 0 || static_cast<std::size_t>(h.handler) >= il_size) {
+      bad("handler start out of range");
+    }
+    if (static_cast<std::size_t>(
+            rc.il2rpc[static_cast<std::size_t>(h.handler)]) >= ncode) {
+      bad("handler start maps past the code");
     }
   }
   std::int32_t prev_rpc = -1;

@@ -517,6 +517,95 @@ TEST_F(ArchiveTest, RejectsIntrinsicArityMismatch) {
                SerializeError);
 }
 
+// The optimizing tier dispatches through a handler table with no range
+// check, so running past the last instruction would be a wild jump. A body
+// whose last instruction can fall through (a plain op or a conditional
+// branch) is refused.
+TEST_F(ArchiveTest, RejectsBodyThatFallsOffItsEnd) {
+  const auto a = parse();
+  const CodeArchive::MethodRecord* warm = nullptr;
+  for (const auto& rec : a->records()) {
+    if (rec.method_id == method && rec.code != nullptr) warm = &rec;
+  }
+  ASSERT_NE(warm, nullptr);
+  ASSERT_EQ(warm->code->code.back().op, regir::ROp::RET_R);
+  auto with_last = [&](regir::ROp op, std::int32_t d, std::int32_t a) {
+    auto rc = std::make_shared<regir::RCode>(*warm->code);
+    regir::RInstr& in = rc->code.back();
+    in.op = op;
+    in.d = d;
+    in.a = a;
+    in.b = -1;
+    CodeArchive::MethodRecord rec = *warm;
+    rec.code = rc;
+    return wrap(rec);
+  };
+  const auto fall = with_last(regir::ROp::NOP_R, -1, -1);
+  EXPECT_THROW(deserialize_archives(vm.module(), fall.data(), fall.size()),
+               SerializeError);
+  const auto cond = with_last(regir::ROp::JZ_I4, 0, 0);
+  EXPECT_THROW(deserialize_archives(vm.module(), cond.data(), cond.size()),
+               SerializeError);
+  // An unconditional branch in the same place is a legal ending.
+  const auto jump = with_last(regir::ROp::JMPB, 0, -1);
+  EXPECT_NO_THROW(deserialize_archives(vm.module(), jump.data(), jump.size()));
+}
+
+// The unwinder resumes at il2rpc[leave target] and il2rpc[handler start];
+// il2rpc may hold code.size() (the end sentinel), which must never be one
+// of those resume points.
+TEST_F(ArchiveTest, RejectsResumePointPastTheCode) {
+  const auto a = parse();
+  const CodeArchive::MethodRecord* warm = nullptr;
+  for (const auto& rec : a->records()) {
+    if (rec.method_id == method && rec.code != nullptr) warm = &rec;
+  }
+  ASSERT_NE(warm, nullptr);
+  const auto ncode = static_cast<std::int32_t>(warm->code->code.size());
+  constexpr std::int32_t kTarget = 1;  // an IL pc inside the body
+  auto loads = [&](const std::shared_ptr<regir::RCode>& rc) {
+    CodeArchive::MethodRecord rec = *warm;
+    rec.code = rc;
+    const auto bytes = wrap(rec);
+    try {
+      (void)deserialize_archives(vm.module(), bytes.data(), bytes.size());
+      return true;
+    } catch (const SerializeError&) {
+      return false;
+    }
+  };
+
+  // LEAVE_R: the target is a legal IL pc, but it maps to code.size().
+  auto leave_to = [&](std::int32_t rpc) {
+    auto rc = std::make_shared<regir::RCode>(*warm->code);
+    regir::RInstr& in = rc->code[0];
+    in.op = regir::ROp::LEAVE_R;
+    in.d = -1;
+    in.a = kTarget;
+    in.b = -1;
+    rc->il2rpc[kTarget] = rpc;
+    return rc;
+  };
+  EXPECT_TRUE(loads(leave_to(0)));
+  EXPECT_FALSE(loads(leave_to(ncode)));
+
+  // Handler start: a catch handler at kTarget whose entry maps to
+  // code.size().
+  auto handler_at = [&](std::int32_t rpc) {
+    auto rc = std::make_shared<regir::RCode>(*warm->code);
+    auto body = std::make_shared<MethodDef>(*rc->body);
+    body->handlers.push_back({HandlerKind::Catch, 0, kTarget, kTarget,
+                              vm.module().exception_class()});
+    rc->body = body;
+    rc->method = body.get();
+    rc->handler_exc_reg.push_back(-1);
+    rc->il2rpc[kTarget] = rpc;
+    return rc;
+  };
+  EXPECT_TRUE(loads(handler_at(0)));
+  EXPECT_FALSE(loads(handler_at(ncode)));
+}
+
 TEST_F(ArchiveTest, StaleHashDegradesToMiss) {
   // Same method name and id, different body in the attaching VM: the
   // verified-IL hash no longer matches, so the record is skipped and the

@@ -6,15 +6,18 @@
 // compile of the same loop header.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "vm/engines.hpp"
 #include "vm/intrinsics.hpp"
+#include "vm/regir.hpp"
 #include "vm/telemetry/telemetry.hpp"
 #include "vm_test_util.hpp"
 
@@ -682,6 +685,227 @@ TEST(Tiered, DeoptThenReOsrRoundTrip) {
   // the interpreter continuation re-promotes the method.
   EXPECT_EQ(eng.method_tier(worker), Tier::Optimizing);
 }
+
+// The optimizing tier's rarely taken dispatch paths, all in one method: a
+// caught throw out of a checked ldelem, a leave through a finally, fused
+// JLT_LEN back edges under a fuel budget that runs out mid-loop and, under
+// the tiered pipeline, a request_deopt bailout at a back edge. The result,
+// the exception class and the fuel spent must match the interpreter.
+struct DispatchPaths {
+  std::int32_t paths = -1;       // paths(len, cell) -> i32
+  std::int32_t make_cell = -1;   // () -> cell
+  std::int32_t wait_ready = -1;  // (cell): blocks until paths holds the cell
+  std::int32_t release = -1;     // (cell): lets paths continue
+
+  /// paths(len, cell):
+  ///   arr = new int[len]; for (i = 0; i < arr.Length; ++i) arr[i] = i * 7;
+  ///   try { acc += arr[len]; } catch (IndexOutOfRange) { acc += 100; }
+  ///   try { acc += 1; } finally { acc *= 2; }
+  ///   if (cell != null) lock (cell) {
+  ///     cell.ready = 1; PulseAll(cell); while (cell.go == 0) Wait(cell);
+  ///   }
+  ///   for (i = 0; i < arr.Length; ++i) acc += arr[i] ^ i;
+  ///   return acc;
+  explicit DispatchPaths(Module& mod) {
+    const std::int32_t cls = mod.define_class(
+        "paths.Cell", {{"ready", ValType::I32}, {"go", ValType::I32}});
+    ILBuilder b(mod, "paths", {{ValType::I32, ValType::Ref}, ValType::I32});
+    const auto arr = b.add_local(ValType::Ref);
+    const auto i = b.add_local(ValType::I32);
+    const auto acc = b.add_local(ValType::I32);
+    auto fill_top = b.new_label();
+    auto fill_cond = b.new_label();
+    b.ldarg(0).newarr(ValType::I32).stloc(arr);
+    b.ldc_i4(0).stloc(i).br(fill_cond);
+    b.bind(fill_top);
+    b.ldloc(arr).ldloc(i).ldloc(i).ldc_i4(7).mul().stelem(ValType::I32);
+    b.ldloc(i).ldc_i4(1).add().stloc(i);
+    b.bind(fill_cond);
+    b.ldloc(i).ldloc(arr).ldlen().blt(fill_top);
+
+    auto c0 = b.new_label();
+    auto c1 = b.new_label();
+    auto catch_h = b.new_label();
+    auto after_catch = b.new_label();
+    b.bind(c0);
+    b.ldloc(acc).ldloc(arr).ldarg(0).ldelem(ValType::I32).add().stloc(acc);
+    b.leave(after_catch);
+    b.bind(c1);
+    b.bind(catch_h);
+    b.pop().ldloc(acc).ldc_i4(100).add().stloc(acc).leave(after_catch);
+    b.add_catch(c0, c1, catch_h, mod.index_range_class());
+    b.bind(after_catch);
+
+    auto f0 = b.new_label();
+    auto f1 = b.new_label();
+    auto fin = b.new_label();
+    auto after_finally = b.new_label();
+    b.bind(f0);
+    b.ldloc(acc).ldc_i4(1).add().stloc(acc).leave(after_finally);
+    b.bind(f1);
+    b.bind(fin);
+    b.ldloc(acc).ldc_i4(2).mul().stloc(acc).endfinally();
+    b.add_finally(f0, f1, fin);
+    b.bind(after_finally);
+
+    auto no_cell = b.new_label();
+    auto wait_top = b.new_label();
+    auto wait_cond = b.new_label();
+    b.ldarg(1).brfalse(no_cell);
+    b.ldarg(1).call_intr(I_MON_ENTER);
+    b.ldarg(1).ldc_i4(1).stfld(cls, "ready");
+    b.ldarg(1).call_intr(I_MON_PULSEALL);
+    b.br(wait_cond);
+    b.bind(wait_top);
+    b.ldarg(1).call_intr(I_MON_WAIT);
+    b.bind(wait_cond);
+    b.ldarg(1).ldfld(cls, "go").brfalse(wait_top);
+    b.ldarg(1).call_intr(I_MON_EXIT);
+    b.bind(no_cell);
+
+    auto sum_top = b.new_label();
+    auto sum_cond = b.new_label();
+    b.ldc_i4(0).stloc(i).br(sum_cond);
+    b.bind(sum_top);
+    b.ldloc(acc).ldloc(arr).ldloc(i).ldelem(ValType::I32).ldloc(i).xor_();
+    b.add().stloc(acc);
+    b.ldloc(i).ldc_i4(1).add().stloc(i);
+    b.bind(sum_cond);
+    b.ldloc(i).ldloc(arr).ldlen().blt(sum_top);
+    b.ldloc(acc).ret();
+    paths = b.finish();
+
+    ILBuilder c(mod, "paths.cell", {{}, ValType::Ref});
+    c.newobj(cls).ret();
+    make_cell = c.finish();
+
+    ILBuilder w(mod, "paths.wait_ready", {{ValType::Ref}, ValType::I32});
+    auto w_top = w.new_label();
+    auto w_cond = w.new_label();
+    w.ldarg(0).call_intr(I_MON_ENTER).br(w_cond);
+    w.bind(w_top);
+    w.ldarg(0).call_intr(I_MON_WAIT);
+    w.bind(w_cond);
+    w.ldarg(0).ldfld(cls, "ready").brfalse(w_top);
+    w.ldarg(0).call_intr(I_MON_EXIT);
+    w.ldc_i4(0).ret();
+    wait_ready = w.finish();
+
+    ILBuilder r(mod, "paths.release", {{ValType::Ref}, ValType::I32});
+    r.ldarg(0).call_intr(I_MON_ENTER);
+    r.ldarg(0).ldc_i4(1).stfld(cls, "go");
+    r.ldarg(0).call_intr(I_MON_PULSEALL);
+    r.ldarg(0).call_intr(I_MON_EXIT);
+    r.ldc_i4(0).ret();
+    release = r.finish();
+  }
+};
+
+/// What paths(len, cell) returns, with i32 wrap-around semantics.
+std::int32_t dispatch_paths_result(std::int32_t len) {
+  std::uint32_t acc = (100u + 1u) * 2u;
+  for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(len); ++i) {
+    acc += (i * 7u) ^ i;
+  }
+  return static_cast<std::int32_t>(acc);
+}
+
+struct PathsOutcome {
+  std::int32_t plain = 0;       // warmed call, no cell, no budget
+  std::string fuel_exception;   // class of the budgeted call's exception
+  std::uint64_t fuel_spent = 0;
+  std::int32_t handshake = 0;   // call that waits on the cell mid-frame
+  std::uint32_t deopts = 0;     // bailouts recorded for `paths`
+  std::vector<regir::ROp> ops;  // the compiled body (optimizing tier only)
+};
+
+PathsOutcome run_dispatch_paths(const char* profile) {
+  constexpr std::int32_t kLen = 4000;
+  // Runs out in the second JLT_LEN loop: the fill loop takes kLen - 1 back
+  // edges, and the budget lands mid-way through the sum loop.
+  constexpr std::int64_t kFuel = 6000;
+  VirtualMachine vm;
+  const DispatchPaths ids(vm.module());
+  TieredEngine eng(vm, profiles::by_name(profile));
+  VMContext& ctx = vm.main_context();
+  PathsOutcome out;
+  auto call = [&](std::int32_t len, Slot cell) {
+    const Slot args[] = {Slot::from_i32(len), cell};
+    return eng.invoke(ctx, ids.paths, args).i32;
+  };
+
+  // Warm past the tiering thresholds so the rest runs published code.
+  for (int k = 0; k < 100; ++k) out.plain = call(16, Slot::from_ref(nullptr));
+  if (profiles::by_name(profile).tier != Tier::Interp) {
+    EXPECT_EQ(eng.method_tier(ids.paths), Tier::Optimizing) << profile;
+    const regir::RCode* rc = eng.opt_code_for_call(ids.paths);
+    if (rc != nullptr) {
+      for (const regir::RInstr& in : rc->code) out.ops.push_back(in.op);
+    }
+  }
+
+  ctx.fuel.active = true;
+  ctx.fuel.remaining = kFuel;
+  ctx.fuel.spent = 0;
+  try {
+    call(kLen, Slot::from_ref(nullptr));
+  } catch (const ManagedException& e) {
+    out.fuel_exception = e.class_name();
+  }
+  out.fuel_spent = ctx.fuel.spent;
+  ctx.fuel = FuelMeter{};
+
+  // The frame takes the cell's monitor, announces itself and waits; the
+  // helper sees it waiting, requests the deopt (tiered only: a Single-mode
+  // frame has no side table to bail through) and lets it go. The next taken
+  // back edge then bails out to the interpreter.
+  const Slot cell = eng.invoke(ctx, ids.make_cell, {});
+  std::thread helper([&] {
+    auto hctx = vm.attach_thread(&eng);
+    Slot a = cell;
+    eng.invoke(*hctx, ids.wait_ready, std::span<const Slot>(&a, 1));
+    if (eng.tiered()) eng.request_deopt(ids.paths);
+    eng.invoke(*hctx, ids.release, std::span<const Slot>(&a, 1));
+    vm.detach_thread(*hctx);
+  });
+  out.handshake = call(kLen, cell);
+  helper.join();
+  out.deopts = eng.code_entry(ids.paths).deopts.load();
+  return out;
+}
+
+class OptimizingDispatchPaths : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(OptimizingDispatchPaths, MatchInterpreter) {
+  const PathsOutcome want = run_dispatch_paths("rotor10");
+  EXPECT_EQ(want.plain, dispatch_paths_result(16));
+  EXPECT_EQ(want.handshake, dispatch_paths_result(4000));
+  EXPECT_EQ(want.fuel_exception, "HPCNet.FuelExhaustedException");
+
+  const PathsOutcome got = run_dispatch_paths(GetParam());
+  EXPECT_EQ(got.plain, want.plain);
+  EXPECT_EQ(got.fuel_exception, want.fuel_exception);
+  EXPECT_EQ(got.fuel_spent, want.fuel_spent);
+  EXPECT_EQ(got.handshake, want.handshake);
+  // The compiled body really contains the paths under test. A checked
+  // ldelem compiles to CHK_BOUNDS plus an unchecked load; the throw comes
+  // out of the CHK_BOUNDS handler.
+  auto has = [&](regir::ROp op) {
+    return std::find(got.ops.begin(), got.ops.end(), op) != got.ops.end();
+  };
+  EXPECT_TRUE(has(regir::ROp::CHK_BOUNDS));
+  EXPECT_TRUE(has(regir::ROp::LEAVE_R));
+  EXPECT_TRUE(has(regir::ROp::ENDFINALLY_R));
+  EXPECT_TRUE(has(regir::ROp::JLT_LEN));
+  if (profiles::by_name(GetParam()).tiering.mode == TierMode::Tiered) {
+    EXPECT_GE(got.deopts, 1u) << "the compiled frame never bailed out";
+  } else {
+    EXPECT_EQ(got.deopts, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Clr11, OptimizingDispatchPaths,
+                         ::testing::Values("clr11", "clr11.tiered"));
 
 TEST(Tiered, TieredProfileNamesResolveViaByName) {
   const EngineProfile p = profiles::by_name("mono023.tiered");
