@@ -579,7 +579,7 @@ Slot OptimizingBackend::run(VMContext& ctx, const RCode& rc,
     if (arr == nullptr) OPT_THROW(mod.null_reference_class(), "ldelem");  \
     const std::int32_t idx = R[in->b].i32;                                \
     if (idx < 0 || idx >= arr->length) {                                  \
-  OPT_THROW(mod.index_range_class(), "index out of range");           \
+      OPT_THROW(mod.index_range_class(), "index out of range");           \
     }                                                                     \
     R[in->d] = Slot::FROM(arr->FIELD()[idx]);                             \
     NEXT();                                                               \
@@ -608,7 +608,7 @@ Slot OptimizingBackend::run(VMContext& ctx, const RCode& rc,
     if (arr == nullptr) OPT_THROW(mod.null_reference_class(), "stelem");  \
     const std::int32_t idx = R[in->b].i32;                                \
     if (idx < 0 || idx >= arr->length) {                                  \
-  OPT_THROW(mod.index_range_class(), "index out of range");           \
+      OPT_THROW(mod.index_range_class(), "index out of range");           \
     }                                                                     \
     arr->FIELD()[idx] = R[in->d].MEMBER;                                  \
     NEXT();                                                               \
@@ -652,12 +652,12 @@ Slot OptimizingBackend::run(VMContext& ctx, const RCode& rc,
     if (mat == nullptr) OPT_THROW(mod.null_reference_class(), "ldelem2"); \
     const std::int32_t r2 = R[in->b].i32;                                 \
     const std::int32_t c2 =                                               \
-    R[static_cast<std::int32_t>(in->imm.i64 & kRegFieldMask)].i32;    \
+        R[static_cast<std::int32_t>(in->imm.i64 & kRegFieldMask)].i32;    \
     if (r2 < 0 || r2 >= mat->length || c2 < 0 || c2 >= mat->cols) {       \
-  OPT_THROW(mod.index_range_class(), "matrix index out of range");    \
+      OPT_THROW(mod.index_range_class(), "matrix index out of range");    \
     }                                                                     \
     R[in->d] = Slot::FROM(                                                \
-    mat->FIELD()[static_cast<std::int64_t>(r2) * mat->cols + c2]);    \
+        mat->FIELD()[static_cast<std::int64_t>(r2) * mat->cols + c2]);    \
     NEXT();                                                               \
   }
   OPT_LDEL2(LDEL2_I4, i32_data, from_i32)
@@ -673,14 +673,14 @@ Slot OptimizingBackend::run(VMContext& ctx, const RCode& rc,
     if (mat == nullptr) OPT_THROW(mod.null_reference_class(), "stelem2"); \
     const std::int32_t r2 = R[in->b].i32;                                 \
     const std::int32_t c2 =                                               \
-    R[static_cast<std::int32_t>(in->imm.i64 & kRegFieldMask)].i32;    \
+        R[static_cast<std::int32_t>(in->imm.i64 & kRegFieldMask)].i32;    \
     const std::int32_t v2 = static_cast<std::int32_t>(                    \
-    (in->imm.i64 >> kRegFieldBits) & kRegFieldMask);                  \
+        (in->imm.i64 >> kRegFieldBits) & kRegFieldMask);                  \
     if (r2 < 0 || r2 >= mat->length || c2 < 0 || c2 >= mat->cols) {       \
-  OPT_THROW(mod.index_range_class(), "matrix index out of range");    \
+      OPT_THROW(mod.index_range_class(), "matrix index out of range");    \
     }                                                                     \
     mat->FIELD()[static_cast<std::int64_t>(r2) * mat->cols + c2] =        \
-    R[v2].MEMBER;                                                     \
+        R[v2].MEMBER;                                                     \
     NEXT();                                                               \
   }
   OPT_STEL2(STEL2_I4, i32_data, i32)
